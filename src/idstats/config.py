@@ -36,6 +36,33 @@ _GRID_KEYS = {
 }
 
 
+def _is_int(value: Any, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Per grid key: a test every candidate value must pass, and what it asks for.
+_GRID_VALUES = {
+    "n_trees": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "rounds": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "min_leaf": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "n_bins": (lambda v: _is_int(v, 2), "an integer >= 2"),
+    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+    "max_depth": (lambda v: v is None or _is_int(v, 0), "an integer >= 0 or null"),
+    "max_features": (
+        lambda v: v is None or v == "sqrt" or _is_int(v, 1),
+        '"sqrt", an integer >= 1 or null',
+    ),
+    "learning_rate": (_is_number, "a number"),
+    "lambda_reg": (_is_number, "a number"),
+    "min_child_weight": (_is_number, "a number"),
+    "bootstrap": (lambda v: isinstance(v, bool), "a boolean"),
+}
+
+
 def _expect_mapping(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where} must be a mapping, got {type(value).__name__}")
@@ -48,10 +75,19 @@ def _reject_unknown(mapping: dict, allowed: tuple[str, ...], where: str) -> None
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
 
 
-def _get(mapping: dict, key: str, kind: type | tuple[type, ...], where: str, default):
+def _get(
+    mapping: dict,
+    key: str,
+    kind: type | tuple[type, ...],
+    where: str,
+    default,
+    nullable: bool = False,
+):
     if key not in mapping:
         return default
     value = mapping[key]
+    if value is None and nullable:
+        return None
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if isinstance(value, bool) and kind in (int, float):
@@ -215,7 +251,7 @@ def _parse_rfe(section: Any, where: str) -> RfeOptions:
         keep_threshold=_get(section, "keep_threshold", float, where, 0.025),
         step=_get(section, "step", int, where, 1),
         n_trees=_get(section, "n_trees", int, where, 30),
-        max_depth=_get(section, "max_depth", int, where, None),
+        max_depth=_get(section, "max_depth", int, where, None, nullable=True),
     )
 
 
@@ -264,6 +300,10 @@ def _parse_models(section: Any, where: str) -> dict[str, dict[str, list]]:
                 raise ConfigError(
                     f"{entry}.{param} must be a non-empty list of candidate values"
                 )
+            valid, want = _GRID_VALUES[param]
+            for value in values:
+                if not valid(value):
+                    raise ConfigError(f"{entry}.{param}: {value!r} is not {want}")
             parsed[param] = values
         models[family] = parsed
     return models

@@ -6,11 +6,12 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DataError, DataQualityWarning, IdstatsError
+from .parallel import ordered_map
 from .tabular import ColumnTable
 from .trees import ModelSpec, derive_seed, fit_model, predict_proba
 
@@ -272,40 +273,14 @@ def _fold_metrics(y: np.ndarray, proba: np.ndarray) -> tuple[FoldMetrics, int]:
     return metrics, prf.zero_division_count
 
 
-def cross_validate(
-    model_spec: ModelSpec, table: ColumnTable, k: int = 10, seed: int = 0
-) -> CvReport:
-    """Stratified k-fold CV: fit on k−1 folds, score both sides of each fold.
+# One fold of one cell: train metrics, test metrics, zero-division count.
+_FoldScores = tuple[FoldMetrics, FoldMetrics, int]
 
-    The fold seed also derives a per-fold model seed unless the spec carries
-    an explicit one. Fit errors are re-raised annotated with the fold id.
-    """
-    X = table.matrix()
-    y = table.labels
-    names = list(table.vocabulary.names)
-    n_classes = table.vocabulary.n_classes
-    folds = stratified_kfold(y, k, seed, class_names=names)
 
-    train_metrics: list[FoldMetrics] = []
-    test_metrics: list[FoldMetrics] = []
-    zero_divisions = 0
-    for f in range(k):
-        test_mask = folds.fold_of == f
-        model_seed = None if "seed" in model_spec.params else derive_seed(seed, 101, f)
-        try:
-            model = fit_model(
-                model_spec, X[~test_mask], y[~test_mask],
-                n_classes=n_classes, seed=model_seed,
-            )
-        except IdstatsError as exc:
-            raise type(exc)(f"fold {f}: {exc}") from exc
-        except Exception as exc:
-            raise RuntimeError(f"fold {f}: {exc}") from exc
-        for mask, bucket in ((~test_mask, train_metrics), (test_mask, test_metrics)):
-            metrics, zd = _fold_metrics(y[mask], predict_proba(model, X[mask]))
-            bucket.append(metrics)
-            zero_divisions += zd
-
+def _cv_report(k: int, folds: list[_FoldScores]) -> CvReport:
+    """Aggregate per-fold (train, test, zero divisions) into a CvReport."""
+    train_metrics = [train for train, _, _ in folds]
+    test_metrics = [test for _, test, _ in folds]
     ranges = {}
     stable = {}
     for split, metrics in (("train", train_metrics), ("test", test_metrics)):
@@ -323,8 +298,99 @@ def cross_validate(
         test_mean=_mean_metrics(test_metrics),
         ranges=ranges,
         stable=stable,
-        zero_division_count=zero_divisions,
+        zero_division_count=sum(zd for _, _, zd in folds),
     )
+
+
+# The grid key whose cells are prefixes of one larger fit: forest tree i is
+# seeded by (seed, i) and boosting rounds run in sequence, so the first n
+# trees (rounds) of a larger fit are exactly the fit with n.
+_SIZE_KEY = {"forest": "n_trees", "gbdt": "rounds"}
+
+
+def _prefix(model, size_key: str, n: int):
+    """The model a fit with ``size_key = n`` returns, cut from a larger fit."""
+    if size_key == "n_trees":
+        return replace(model, trees=model.trees[:n])
+    return replace(model, trees=model.trees[:n], train_loss=model.train_loss[: n + 1])
+
+
+def _fold_scores(shared: tuple, task: tuple) -> list[_FoldScores]:
+    """(train, test, zero divisions) of every cell of one group on one fold.
+
+    ``task`` is (family, cells, fold). The cells differ at most in the
+    family's size key; the largest of them is fit once and each cell is
+    scored on its prefix. The fold seed derives the model seed unless the
+    cells carry an explicit one. Fit errors are re-raised annotated with the
+    fold id.
+    """
+    X, y, fold_of, n_classes, seed = shared
+    family, cells, f = task
+    size_key = _SIZE_KEY.get(family)
+    params = dict(cells[0])
+    if size_key in params:
+        params[size_key] = max(cell[size_key] for cell in cells)
+    test_mask = fold_of == f
+    model_seed = None if "seed" in params else derive_seed(seed, 101, f)
+    try:
+        model = fit_model(
+            ModelSpec(family, params), X[~test_mask], y[~test_mask],
+            n_classes=n_classes, seed=model_seed,
+        )
+    except IdstatsError as exc:
+        raise type(exc)(f"fold {f}: {exc}") from exc
+    except Exception as exc:
+        raise RuntimeError(f"fold {f}: {exc}") from exc
+    out = []
+    for cell in cells:
+        cell_model = model
+        if size_key in cell:
+            cell_model = _prefix(model, size_key, cell[size_key])
+        (train, zd_train), (test, zd_test) = (
+            _fold_metrics(y[mask], predict_proba(cell_model, X[mask]))
+            for mask in (~test_mask, test_mask)
+        )
+        out.append((train, test, zd_train + zd_test))
+    return out
+
+
+def _cross_validate_groups(
+    family: str,
+    groups: list[list[dict]],
+    table: ColumnTable,
+    k: int,
+    seed: int,
+    workers: int,
+) -> list[list[CvReport]]:
+    """A CvReport per cell of every group, all on one stratified fold split.
+
+    The (group, fold) tasks run on ``workers`` processes; the reports do not
+    depend on the worker count.
+    """
+    y = table.labels
+    folds = stratified_kfold(y, k, seed, class_names=list(table.vocabulary.names))
+    shared = (table.matrix(), y, folds.fold_of, table.vocabulary.n_classes, seed)
+    tasks = [(family, cells, f) for cells in groups for f in range(k)]
+    scores = ordered_map(_fold_scores, tasks, shared, workers=workers)
+    reports = []
+    for g, cells in enumerate(groups):
+        by_fold = scores[g * k : (g + 1) * k]
+        reports.append(
+            [_cv_report(k, [fold[c] for fold in by_fold]) for c in range(len(cells))]
+        )
+    return reports
+
+
+def cross_validate(
+    model_spec: ModelSpec, table: ColumnTable, k: int = 10, seed: int = 0
+) -> CvReport:
+    """Stratified k-fold CV: fit on k−1 folds, score both sides of each fold.
+
+    The fold seed also derives a per-fold model seed unless the spec carries
+    an explicit one. Fit errors are re-raised annotated with the fold id.
+    """
+    groups = [[model_spec.params]]
+    return _cross_validate_groups(model_spec.family, groups, table, k, seed, 1)[0][0]
 
 
 @dataclass
@@ -362,21 +428,42 @@ def grid_search(
     table: ColumnTable,
     k: int = 10,
     seed: int = 0,
+    workers: int = 1,
 ) -> GridSearchResult:
     """Exhaustively cross-validate a parameter grid for one model family.
 
     Cells are enumerated in the grid's key order; every cell shares the same
-    fold assignment. Best cell = highest mean held-out F1, ties broken toward
-    fewer rounds/trees, then lower max depth, then earlier cell.
+    fold assignment. Cells that differ only in n_trees (forest) or rounds
+    (gbdt) form a group that is fit once per fold at its largest size and
+    scored at every size, with the same reports as one fit per cell. Best
+    cell = highest mean held-out F1, ties broken toward fewer rounds/trees,
+    then lower max depth, then earlier cell. The (group, fold) fits run on
+    ``workers`` processes; results do not depend on it.
     """
     if not param_grid or any(len(v) == 0 for v in param_grid.values()):
         raise DataError("param_grid must be non-empty with non-empty value lists")
+    size_key = _SIZE_KEY.get(model_family)
+    for n in param_grid.get(size_key, ()):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise DataError(f"{size_key} values must be integers >= 1, got {n!r}")
     keys = list(param_grid)
-    cells: list[GridCell] = []
-    for combo in itertools.product(*(param_grid[key] for key in keys)):
-        params = dict(zip(keys, combo))
-        report = cross_validate(ModelSpec(model_family, params), table, k=k, seed=seed)
-        cells.append(GridCell(params=params, report=report))
+    all_params = [
+        dict(zip(keys, combo))
+        for combo in itertools.product(*(param_grid[key] for key in keys))
+    ]
+    groups: dict[tuple, list[int]] = {}
+    for i, params in enumerate(all_params):
+        rest = tuple((key, value) for key, value in params.items() if key != size_key)
+        groups.setdefault(rest, []).append(i)
+    reports = _cross_validate_groups(
+        model_family,
+        [[all_params[i] for i in members] for members in groups.values()],
+        table, k, seed, workers,
+    )
+    by_cell: dict[int, CvReport] = {}
+    for members, group_reports in zip(groups.values(), reports):
+        by_cell.update(zip(members, group_reports))
+    cells = [GridCell(params, by_cell[i]) for i, params in enumerate(all_params)]
     best_index = min(
         range(len(cells)),
         key=lambda i: selection_key(cells[i].params, cells[i].report.test_mean.f1)

@@ -130,6 +130,7 @@ def run_preprocess(cfg: RunConfig) -> dict:
     Order: dedup, stratified split, encoders fitted on the train rows and
     applied to both sides, engineered columns, robust scaling fitted on train,
     recursive elimination, then correlation pruning of the survivors.
+    ``cfg.threads`` processes grow the elimination forests' trees.
     """
     opts = cfg.preprocess
     schema = list(cfg.schema)
@@ -183,6 +184,7 @@ def run_preprocess(cfg: RunConfig) -> dict:
         step=opts.rfe.step,
         feature_names=names,
         n_classes=train.vocabulary.n_classes,
+        workers=cfg.threads,
     )
     after_rfe = list(rfe_result.selected)
 
@@ -354,7 +356,10 @@ def _analysis_features(
 
 
 def run_cv(cfg: RunConfig) -> dict:
-    """Grid search per model family with shared folds, then refit the winner."""
+    """Grid search per model family with shared folds, then refit the winner.
+
+    ``cfg.threads`` processes run the CV fits and the refit's forest trees.
+    """
     if not cfg.cv.models:
         raise ConfigError("config.cv.models is empty; configure at least one family")
     art = load_artifacts(cfg.output)
@@ -364,7 +369,9 @@ def run_cv(cfg: RunConfig) -> dict:
 
     searches: dict[str, object] = {}
     for family, grid in cfg.cv.models.items():
-        searches[family] = grid_search(family, grid, train, k=cfg.cv.k, seed=cv_seed)
+        searches[family] = grid_search(
+            family, grid, train, k=cfg.cv.k, seed=cv_seed, workers=cfg.threads
+        )
 
     ranked = sorted(
         searches.items(),
@@ -384,6 +391,7 @@ def run_cv(cfg: RunConfig) -> dict:
         y_train,
         n_classes=n_classes,
         seed=derive_seed(cfg.seed, _REFIT_TAG),
+        workers=cfg.threads,
     )
     cm_train = confusion_matrix(y_train, predict_labels(model, X_train), n_classes)
     cm_test = confusion_matrix(y_test, predict_labels(model, X_test), n_classes)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .parallel import ordered_map
 
 MODEL_FORMAT = "idstats-model"
 MODEL_VERSION = 1
@@ -223,7 +224,20 @@ class ForestModel:
     max_features: int
     bootstrap: bool
     seed: int
-    oob_indices: list[np.ndarray] = field(default_factory=list)
+
+
+def _forest_tree(shared: tuple, i: int) -> TreeNode:
+    """Tree i of a forest: its bootstrap and feature draws come from (seed, i)."""
+    X, y, n_classes, max_depth, min_leaf, m, bootstrap, seed = shared
+    n, p = X.shape
+    rng = np.random.default_rng([seed, i])
+    sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+    tree = _grow_tree(
+        X[sample], y[sample], n_classes, max_depth, min_leaf,
+        m if m < p else None, rng,
+    )
+    tree.n_features = p
+    return tree
 
 
 def fit_forest(
@@ -236,16 +250,17 @@ def fit_forest(
     bootstrap: bool = True,
     seed: int = 0,
     n_classes: int | None = None,
+    workers: int = 1,
 ) -> ForestModel:
     """Random forest: per tree, a bootstrap resample and ⌈√p⌉ features per split.
 
     Tree i draws from an RNG seeded by (seed, i), so results do not depend on
-    build order or worker count. Out-of-bag row indices are kept per tree.
+    build order or on ``workers``, the number of processes growing trees.
     """
     X, y, n_classes = _check_xy(X, y, n_classes)
     if n_trees < 1:
         raise DataError("n_trees must be >= 1")
-    n, p = X.shape
+    p = X.shape[1]
     if max_features == "sqrt":
         m = int(math.ceil(math.sqrt(p)))
     elif max_features is None:
@@ -253,22 +268,8 @@ def fit_forest(
     else:
         m = min(max(int(max_features), 1), p)
 
-    trees: list[TreeNode] = []
-    oob: list[np.ndarray] = []
-    for i in range(n_trees):
-        rng = np.random.default_rng([seed, i])
-        if bootstrap:
-            sample = rng.integers(0, n, size=n)
-            oob.append(np.setdiff1d(np.arange(n), sample))
-        else:
-            sample = np.arange(n)
-            oob.append(np.empty(0, dtype=np.int64))
-        tree = _grow_tree(
-            X[sample], y[sample], n_classes, max_depth, min_leaf,
-            m if m < p else None, rng,
-        )
-        tree.n_features = p
-        trees.append(tree)
+    shared = (X, y, n_classes, max_depth, min_leaf, m, bootstrap, seed)
+    trees = ordered_map(_forest_tree, range(n_trees), shared, workers=workers)
     return ForestModel(
         trees=trees,
         n_classes=n_classes,
@@ -276,7 +277,6 @@ def fit_forest(
         max_features=m,
         bootstrap=bootstrap,
         seed=seed,
-        oob_indices=oob,
     )
 
 
@@ -679,11 +679,17 @@ def fit_model(
     y: np.ndarray,
     n_classes: int | None = None,
     seed: int | None = None,
+    workers: int = 1,
 ):
-    """Fit the spec'd family; an explicit seed in params wins over ``seed``."""
+    """Fit the spec'd family; an explicit seed in params wins over ``seed``.
+
+    ``workers`` processes grow a forest's trees; other families fit in-process.
+    """
     params = dict(spec.params)
     if seed is not None:
         params.setdefault("seed", seed)
+    if spec.family == "forest":
+        params["workers"] = workers
     return _FITTERS[spec.family](X, y, n_classes=n_classes, **params)
 
 
@@ -711,6 +717,7 @@ def rfe(
     step: int = 1,
     feature_names: list[str] | None = None,
     n_classes: int | None = None,
+    workers: int = 1,
 ) -> RfeResult:
     """Recursive feature elimination on refit impurity importances.
 
@@ -728,6 +735,7 @@ def rfe(
         keep_threshold: minimum importance share to keep a feature.
         step: features dropped per round.
         feature_names: names for the columns; default "f0".."f{p-1}".
+        workers: processes per refit (a forest grows its trees in parallel).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 2:
@@ -745,7 +753,9 @@ def rfe(
     current = list(range(X.shape[1]))
     trace: list[RfeRound] = []
     while True:
-        model = fit_model(model_spec, X[:, current], y, n_classes=n_classes)
+        model = fit_model(
+            model_spec, X[:, current], y, n_classes=n_classes, workers=workers
+        )
         imp = impurity_importance(model)
         snapshot = {names[c]: float(v) for c, v in zip(current, imp)}
         if len(current) == 1 or float(imp.min()) >= keep_threshold:
@@ -815,10 +825,7 @@ def _gbdt_node_from_dict(data: dict) -> _GbdtNode:
 
 
 def model_to_dict(model) -> dict:
-    """Self-describing JSON form with a format/version tag.
-
-    Out-of-bag index sets are fit-time artifacts and are not persisted.
-    """
+    """Self-describing JSON form with a format/version tag."""
     head = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
     if isinstance(model, TreeNode):
         return head | {

@@ -4,9 +4,7 @@ as the per-feature statistic."""
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,6 +19,7 @@ from .density import (
     to_mass_pair,
 )
 from .errors import DataError, DataQualityWarning
+from .parallel import ordered_map
 from .tabular import ColumnTable
 
 SMALL_GROUP_WARNING = 20
@@ -255,14 +254,14 @@ def permute_labels(labels: np.ndarray, b: int, master_seed: int) -> np.ndarray:
     return labels[rng.permutation(labels.size)]
 
 
-def _permutation_rows(
-    pooled: np.ndarray,
-    n_a: int,
-    cfg: WyConfig,
-    b_values: list[int],
-    frozen: list[tuple[float, float]] | None,
-) -> np.ndarray:
-    """T_{i,b} for every feature i and each b in b_values (rows are b)."""
+def _permutation_rows(shared: tuple, b_values: list[int]) -> np.ndarray:
+    """T_{i,b} for every feature i and each b in b_values (rows are b).
+
+    ``shared`` is (pooled, n_a, cfg, frozen): the pooled class-pair matrix,
+    the class-a row count, the test configuration and the frozen bandwidths
+    (None when they are refit).
+    """
+    pooled, n_a, cfg, frozen = shared
     n = pooled.shape[1]
     out = np.empty((len(b_values), pooled.shape[0]), dtype=np.float64)
     with warnings.catch_warnings():
@@ -316,26 +315,14 @@ def wy_maxT(
         else [(d.bandwidth_a, d.bandwidth_b) for d in observed]
     )
 
+    # workers * 4 chunks of permutations keep the pool's load balanced
     b_values = list(range(1, cfg.permutations + 1))
-    if workers <= 1 or cfg.permutations == 1:
-        stat_rows = _permutation_rows(pooled, n_a, cfg, b_values, frozen)
-    else:
-        chunk_size = max(1, -(-cfg.permutations // (workers * 4)))
-        chunks = [
-            b_values[i : i + chunk_size] for i in range(0, len(b_values), chunk_size)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _permutation_rows,
-                    itertools.repeat(pooled),
-                    itertools.repeat(n_a),
-                    itertools.repeat(cfg),
-                    chunks,
-                    itertools.repeat(frozen),
-                )
-            )
-        stat_rows = np.vstack(parts)
+    chunk_size = max(1, -(-cfg.permutations // (max(workers, 1) * 4)))
+    chunks = [b_values[i : i + chunk_size] for i in range(0, len(b_values), chunk_size)]
+    parts = ordered_map(
+        _permutation_rows, chunks, (pooled, n_a, cfg, frozen), workers=workers
+    )
+    stat_rows = np.vstack(parts)
 
     trace = stat_rows.max(axis=1)
     results = []

@@ -188,6 +188,31 @@ def test_rerunning_stages_reproduces_the_report_byte_for_byte(run_dir):
     assert report_path.read_bytes() == before
 
 
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path):
+    write_dataset(tmp_path / "data.csv")
+    (tmp_path / "run.yaml").write_text(CONFIG_YAML, encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        for command in ("preprocess", "cv"):
+            rc = cli.main(
+                [command, "--config", str(tmp_path / "run.yaml"),
+                 "--out", str(out), "--threads", threads]
+            )
+            assert rc == 0, command
+        outputs.append(
+            [
+                (out / name).read_bytes()
+                for name in (
+                    "fragments/preprocess.json",
+                    "fragments/cv.json",
+                    "artifacts/best_model.json",
+                )
+            ]
+        )
+    assert outputs[0] == outputs[1]
+
+
 def test_seed_override_changes_the_report(run_dir, capsys):
     rc = cli.main(
         ["preprocess", "--config", str(run_dir / "run.yaml"),

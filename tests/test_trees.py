@@ -121,17 +121,6 @@ def test_forest_beats_chance_and_probas_normalize():
     assert proba.min() >= 0.0
 
 
-def test_forest_oob_indices_are_out_of_bootstrap():
-    X, y = two_blobs(n_per=50, seed=5)
-    forest = fit_forest(X, y, n_trees=5, seed=3)
-    n = X.shape[0]
-    for i, oob in enumerate(forest.oob_indices):
-        rng = np.random.default_rng([3, i])
-        sample = rng.integers(0, n, size=n)
-        assert set(oob.tolist()) == set(range(n)) - set(sample.tolist())
-        assert 0 < len(oob) < n  # bootstrap leaves some rows out
-
-
 def test_single_tree_forest_without_bootstrap_equals_plain_tree():
     X, y = two_blobs(n_per=80, shift=2.5, seed=6)
     forest = fit_forest(X, y, n_trees=1, bootstrap=False, max_features=None, seed=11)
