@@ -11,6 +11,7 @@ import sys
 
 from . import pipeline
 from .config import apply_overrides, load_config
+from .density import BANDWIDTH_POLICIES
 from .errors import ConfigError, DataError
 
 
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     wy.add_argument("--permutations", type=int, default=None, metavar="B",
                     help="permutation count")
     wy.add_argument("--bandwidth", default=None,
-                    choices=("scott", "silverman", "cv"),
+                    choices=BANDWIDTH_POLICIES,
                     help="KDE bandwidth policy")
     wy.add_argument("--alpha", type=float, default=None,
                     help="significance level")

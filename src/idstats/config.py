@@ -14,6 +14,7 @@ from typing import Any
 
 import yaml
 
+from .density import BANDWIDTH_POLICIES
 from .errors import ConfigError, DataError
 from .preprocess import EngineeredFeature
 from .tabular import ColumnSchema, validate_schema
@@ -138,6 +139,12 @@ class DensityOptions:
     grid_size: int = 512
     features: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.policy not in BANDWIDTH_POLICIES:
+            raise ConfigError(f"unknown bandwidth policy {self.policy!r}")
+        if self.grid_size < 2:
+            raise ConfigError("grid_size must be >= 2")
+
 
 @dataclass(frozen=True)
 class WyOptions:
@@ -151,16 +158,24 @@ class WyOptions:
     refit_bandwidths: bool = True
     features: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        # WyConfig holds the checks; a stand-in pair is used until --classes
+        # supplies the real one.
+        self._wy_config(self.classes or ("a", "b"), seed=0)
+
     def to_wy_config(self, seed: int) -> WyConfig:
         if self.classes is None:
             raise ConfigError(
                 "the permutation test needs a class pair; set wy.classes in the "
                 "config or pass --classes V,W"
             )
+        return self._wy_config(self.classes, seed)
+
+    def _wy_config(self, classes: tuple[str, str], seed: int) -> WyConfig:
         try:
             return WyConfig(
-                class_a=self.classes[0],
-                class_b=self.classes[1],
+                class_a=classes[0],
+                class_b=classes[1],
                 permutations=self.permutations,
                 alpha=self.alpha,
                 bandwidth_policy=self.bandwidth,
@@ -324,13 +339,23 @@ def _parse_feature_list(value: Any, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _checked(options: type, where: str, **values):
+    """Build an options dataclass, naming the section in any value error."""
+    try:
+        return options(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _parse_density(section: Any, where: str) -> DensityOptions:
     section = _expect_mapping(section, where)
     _reject_unknown(section, ("policy", "grid_size", "features"), where)
     features = None
     if "features" in section:
         features = _parse_feature_list(section["features"], f"{where}.features")
-    return DensityOptions(
+    return _checked(
+        DensityOptions,
+        where,
         policy=_get(section, "policy", str, where, "scott"),
         grid_size=_get(section, "grid_size", int, where, 512),
         features=features,
@@ -364,7 +389,9 @@ def _parse_wy(section: Any, where: str) -> WyOptions:
     features = None
     if "features" in section:
         features = _parse_feature_list(section["features"], f"{where}.features")
-    return WyOptions(
+    return _checked(
+        WyOptions,
+        where,
         classes=classes,
         permutations=_get(section, "permutations", int, where, 1000),
         alpha=_get(section, "alpha", float, where, 0.05),
@@ -465,7 +492,10 @@ def apply_overrides(
     bandwidth: str | None = None,
     alpha: float | None = None,
 ) -> RunConfig:
-    """Overlay command-line flag values onto a loaded config."""
+    """Overlay command-line flag values onto a loaded config.
+
+    The wy options are checked again with the flag values in place.
+    """
     if seed is not None:
         if seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {seed}")

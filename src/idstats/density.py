@@ -25,12 +25,24 @@ GRID_PAD_BANDWIDTHS = 5.0
 
 DEFAULT_GRID_SIZE = 512
 
+BANDWIDTH_POLICIES = ("scott", "silverman", "cv")
+
 # Pooled sizes at or above this use the binned FFT scorer inside
-# cv_bandwidth; below it the exact quadratic evaluator runs.
+# cv_bandwidth; below it the exact pair scorer runs.
 FAST_CV_THRESHOLD = 4096
 _FAST_BINS_PER_BANDWIDTH = 16
 _FAST_GRID_CAP = 1 << 17
 _KERNEL_REACH = 8.0
+
+# Largest work matrix of the exact sums, in float64 elements.
+_EXACT_BLOCK = 4_000_000
+
+# np.exp leaves its fast vector path for arguments at or below about -708,
+# where results are subnormal or 0. The kernel clamps its argument at -700
+# and subtracts exp(-700), so it is exactly 0 from sqrt(1400) ~ 37.4
+# bandwidths on, and any value above ~1e-288 is unchanged.
+_EXP_CLAMP = -700.0
+_EXP_AT_CLAMP = float(np.exp(_EXP_CLAMP))
 
 
 def _sample_std(x: np.ndarray) -> float:
@@ -85,19 +97,67 @@ def default_cv_candidates(x: np.ndarray, count: int = 20) -> np.ndarray:
     return np.geomspace(0.1 * h_scott, 10.0 * h_scott, count)
 
 
+def _kernel(z: np.ndarray) -> np.ndarray:
+    """exp(z) in place for z = -u^2 / 2, cut to exactly 0 at u >= sqrt(1400)."""
+    np.maximum(z, _EXP_CLAMP, out=z)
+    np.exp(z, out=z)
+    np.subtract(z, _EXP_AT_CLAMP, out=z)
+    return z
+
+
 def _exact_density(samples: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian KDE evaluated exactly, chunked to bound the work matrix."""
+    """Gaussian KDE evaluated exactly, chunked to bound the work matrix.
+
+    Each kernel term is cut to exactly 0 beyond sqrt(1400) ~ 37.4 bandwidths
+    (see _kernel); every term above ~1e-288 is the plain Gaussian's.
+    """
     n = samples.size
     out = np.empty(points.size, dtype=np.float64)
     scaled = samples / h
-    chunk = max(1, 4_000_000 // max(n, 1))
+    chunk = max(1, _EXACT_BLOCK // max(n, 1))
     for start in range(0, points.size, chunk):
         z = np.subtract.outer(points[start : start + chunk] / h, scaled)
         np.multiply(z, z, out=z)
         np.multiply(z, -0.5, out=z)
-        np.exp(z, out=z)
-        out[start : start + chunk] = z.sum(axis=1)
+        out[start : start + chunk] = _kernel(z).sum(axis=1)
     return out / (n * h * _SQRT_2PI)
+
+
+def _pair_cv_scores(
+    x: np.ndarray, fold_of: np.ndarray, n_folds: int, candidates: np.ndarray
+) -> np.ndarray:
+    """Total held-out log-likelihood per candidate, each fold pair scored once.
+
+    A held-out point's density sums the kernel over every other fold, so the
+    folds f < g share one block of squared distances: per candidate, its row
+    sums go to fold f's points and its column sums to fold g's. Blocks are
+    bounded like _exact_density's work matrix.
+    """
+    order = np.argsort(fold_of, kind="stable")
+    xs = x[order]
+    bounds = np.searchsorted(fold_of[order], np.arange(n_folds + 1))
+    factors = -0.5 / (candidates * candidates)
+    sums = np.zeros((candidates.size, x.size))
+    for f in range(n_folds):
+        for g in range(f + 1, n_folds):
+            g0, g1 = bounds[g], bounds[g + 1]
+            chunk = max(1, _EXACT_BLOCK // (g1 - g0))
+            for r0 in range(bounds[f], bounds[f + 1], chunk):
+                r1 = min(r0 + chunk, bounds[f + 1])
+                d2 = np.subtract.outer(xs[r0:r1], xs[g0:g1])
+                np.multiply(d2, d2, out=d2)
+                k = np.empty_like(d2)
+                for ci, factor in enumerate(factors):
+                    _kernel(np.multiply(d2, factor, out=k))
+                    sums[ci, r0:r1] += k.sum(axis=1)
+                    sums[ci, g0:g1] += k.sum(axis=0)
+
+    scores = np.zeros(candidates.size)
+    for f in range(n_folds):
+        f0, f1 = bounds[f], bounds[f + 1]
+        dens = sums[:, f0:f1] / ((x.size - (f1 - f0)) * candidates[:, None] * _SQRT_2PI)
+        scores += np.log(np.maximum(dens, DENSITY_FLOOR)).sum(axis=1)
+    return scores
 
 
 def _linear_bin(x: np.ndarray, lo: float, dx: float, n_bins: int) -> np.ndarray:
@@ -162,6 +222,9 @@ def cv_bandwidth(
 
     Folds come from a seeded shuffle with round-robin assignment. Densities
     are floored at 1e-300 inside the log; ties go to the largest bandwidth.
+    Below FAST_CV_THRESHOLD values the held-out densities are exact sums,
+    with each kernel term cut to 0 beyond sqrt(1400) ~ 37.4 bandwidths; at
+    or above it they come from the binned FFT scorer.
 
     Args:
         x: sample vector, n >= folds.
@@ -192,13 +255,7 @@ def cv_bandwidth(
     if x.size >= FAST_CV_THRESHOLD:
         scores = _binned_cv_scores(x, fold_of, folds, cand)
     else:
-        scores = np.zeros(cand.size)
-        for f in range(folds):
-            held = x[fold_of == f]
-            train = x[fold_of != f]
-            for ci, h in enumerate(cand):
-                dens = _exact_density(train, held, h)
-                scores[ci] += float(np.sum(np.log(np.maximum(dens, DENSITY_FLOOR))))
+        scores = _pair_cv_scores(x, fold_of, folds, cand)
 
     best = 0
     for ci in range(cand.size):

@@ -5,11 +5,12 @@ as the per-feature statistic."""
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .density import (
+    BANDWIDTH_POLICIES,
     DensityPair,
     KdeModel,
     bandwidth_for,
@@ -67,7 +68,7 @@ class WyConfig:
             raise DataError("permutations must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.bandwidth_policy not in ("scott", "silverman", "cv"):
+        if self.bandwidth_policy not in BANDWIDTH_POLICIES:
             raise DataError(f"unknown bandwidth policy {self.bandwidth_policy!r}")
         if self.grid_size < 2:
             raise DataError("grid_size must be >= 2")
@@ -225,33 +226,6 @@ def observed_details(
             )
         )
     return out
-
-
-def observed_stats(
-    table: ColumnTable, features: list[str], class_pair: tuple[str, str], cfg: WyConfig
-) -> np.ndarray:
-    """Vector of observed JS statistics T_i for the class pair."""
-    if (class_pair[0], class_pair[1]) != (cfg.class_a, cfg.class_b):
-        cfg = replace(cfg, class_a=class_pair[0], class_b=class_pair[1])
-    details = observed_details(table, features, cfg)
-    return np.array([d.statistic for d in details], dtype=np.float64)
-
-
-def permute_labels(labels: np.ndarray, b: int, master_seed: int) -> np.ndarray:
-    """The b-th seeded permutation of a two-class label vector.
-
-    The child RNG derives from (master seed, b) only, so iteration b yields
-    one permutation shared by every feature. Group sizes are preserved by
-    construction.
-    """
-    labels = np.asarray(labels)
-    distinct = np.unique(labels)
-    if distinct.size != 2:
-        raise DataError(
-            f"permute_labels expects exactly two classes, found {distinct.size}"
-        )
-    rng = np.random.default_rng([master_seed, _PERM_TAG, b])
-    return labels[rng.permutation(labels.size)]
 
 
 def _permutation_rows(shared: tuple, b_values: list[int]) -> np.ndarray:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from idstats.config import parse_config
+from idstats.config import apply_overrides, parse_config
 from idstats.errors import ConfigError
 
 
@@ -73,3 +73,46 @@ def test_cv_grids_reject_values_of_the_wrong_kind(family, key, bad):
     models = {family: {key: [bad]}}
     with pytest.raises(ConfigError, match=f"{family}.{key}"):
         parse_config(doc(cv={"models": models}))
+
+
+@pytest.mark.parametrize(
+    "section, key, bad, message",
+    [
+        ("wy", "permutations", 0, "permutations"),
+        ("wy", "alpha", 2, "alpha"),
+        ("wy", "bandwidth", "foo", "policy"),
+        ("wy", "cv_folds", 1, "cv_folds"),
+        ("wy", "cv_candidates", 0, "cv_candidates"),
+        ("wy", "grid_size", 1, "grid_size"),
+        ("wy", "classes", ["A", "A"], "distinct"),
+        ("density", "policy", "foo", "policy"),
+        ("density", "grid_size", 1, "grid_size"),
+    ],
+)
+def test_wy_and_density_values_are_rejected_at_parse_time(section, key, bad, message):
+    with pytest.raises(ConfigError, match=f"config.{section}: .*{message}"):
+        parse_config(doc(**{section: {key: bad}}))
+
+
+def test_wy_values_need_no_class_pair_until_the_stage_runs():
+    cfg = parse_config(doc(wy={"permutations": 10, "bandwidth": "scott"}))
+    assert cfg.wy.classes is None
+    with pytest.raises(ConfigError, match="class pair"):
+        cfg.wy.to_wy_config(seed=0)
+    wy = apply_overrides(cfg, classes=("A", "B")).wy.to_wy_config(seed=0)
+    assert (wy.class_a, wy.class_b, wy.permutations) == ("A", "B", 10)
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"permutations": 0}, "permutations"),
+        ({"alpha": 2.0}, "alpha"),
+        ({"bandwidth": "foo"}, "policy"),
+        ({"classes": ("A", "A")}, "distinct"),
+    ],
+)
+def test_overrides_are_checked_like_the_config(override, message):
+    cfg = parse_config(doc(wy={"classes": ["A", "B"]}))
+    with pytest.raises(ConfigError, match=message):
+        apply_overrides(cfg, **override)

@@ -113,6 +113,102 @@ def test_fast_cv_path_matches_exact_scoring(monkeypatch):
     assert fast == exact == pytest.approx(0.36106407876409946)
 
 
+def loop_cv_scores(x, fold_of, folds, cand):
+    """Reference scorer: per fold and candidate, plain Gaussian sums over the
+    training folds (the loop the pair scorer replaced; no kernel cut-off)."""
+    scores = np.zeros(cand.size)
+    for f in range(folds):
+        held, train = x[fold_of == f], x[fold_of != f]
+        for ci, h in enumerate(cand):
+            z = np.subtract.outer(held / h, train / h)
+            dens = np.exp(-0.5 * z * z).sum(axis=1) / (train.size * h * SQRT_2PI)
+            scores[ci] += np.sum(np.log(np.maximum(dens, density.DENSITY_FLOOR)))
+    return scores
+
+
+def cv_folds_of(n, folds, seed):
+    """The fold assignment cv_bandwidth draws for (n, folds, seed)."""
+    fold_of = np.empty(n, dtype=np.int64)
+    fold_of[np.random.default_rng(seed).permutation(n)] = np.arange(n) % folds
+    return fold_of
+
+
+CV_FIXTURES = {
+    "heavy_tailed_gamma": (np.random.default_rng(31).gamma(0.4, 50.0, 600), 3),
+    "integer_counts_with_ties": (
+        np.random.default_rng(32).poisson(3.0, 400).astype(np.float64), 5,
+    ),
+    "bounded_beta": (np.random.default_rng(33).beta(0.5, 0.5, 300), 3),
+    "n_equal_to_folds": (np.array([0.0, 0.3, 1.1, 4.0, 9.5]), 5),
+    "n_not_divisible_by_folds": (np.random.default_rng(34).normal(0, 1, 103), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CV_FIXTURES))
+@pytest.mark.parametrize("seed", [0, 7])
+def test_pair_cv_scores_match_the_per_fold_loop(name, seed):
+    x, folds = CV_FIXTURES[name]
+    cand = default_cv_candidates(x, 12)
+    fold_of = cv_folds_of(x.size, folds, seed)
+    want = loop_cv_scores(x, fold_of, folds, cand)
+    got = density._pair_cv_scores(x, fold_of, folds, cand)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+    # the pick: the best reference score, ties to the largest bandwidth
+    best = max(range(cand.size), key=lambda ci: (want[ci], ci))
+    assert cv_bandwidth(x, candidates=cand, folds=folds, seed=seed) == cand[best]
+
+
+def test_pair_cv_scores_do_not_depend_on_the_block_size(monkeypatch):
+    x, folds = CV_FIXTURES["n_not_divisible_by_folds"]
+    cand = default_cv_candidates(x, 6)
+    fold_of = cv_folds_of(x.size, folds, 3)
+    whole = density._pair_cv_scores(x, fold_of, folds, cand)
+    # folds of 25-26 points: blocks of 7 rows, the last block of each fold short
+    monkeypatch.setattr(density, "_EXACT_BLOCK", 7 * 26)
+    np.testing.assert_allclose(
+        density._pair_cv_scores(x, fold_of, folds, cand), whole, rtol=1e-12
+    )
+
+
+def test_kernel_is_exp_above_the_cut_off_and_zero_beyond_it():
+    z = np.linspace(-660.0, 0.0, 1001)
+    # exp(-660) ~ 5e-287: every value down there is the plain exp, bit for bit
+    assert np.array_equal(density._kernel(z.copy()), np.exp(z))
+    for size in range(1, 40):  # every tail length of the vector loop
+        assert not np.any(density._kernel(np.full(size, -700.0)))
+        assert not np.any(density._kernel(np.linspace(-2000.0, -700.0, size)))
+    assert np.all(density._kernel(np.full(9, -699.9)) > 0.0)
+
+
+def test_kde_eval_matches_a_direct_sum_down_to_1e_250():
+    rng = np.random.default_rng(35)
+    samples = np.concatenate([rng.normal(0.0, 1.0, 40), rng.standard_cauchy(20)])
+    h = 0.25
+    points = np.linspace(samples.min() - 12.0, samples.max() + 12.0, 400)
+    got = kde_eval(fit_kde(samples, bandwidth=h), points)
+    norm = samples.size * h * SQRT_2PI
+    direct = np.array(
+        [
+            math.fsum(math.exp(-0.5 * ((p - s) / h) ** 2) for s in samples) / norm
+            for p in points
+        ]
+    )
+    checked = direct >= 1e-250
+    assert checked.sum() > 200 and not checked.all()
+    np.testing.assert_allclose(got[checked], direct[checked], rtol=1e-12, atol=0.0)
+
+
+def test_kde_eval_is_zero_beyond_37_4_bandwidths():
+    samples = np.array([-3.0, 0.0, 0.5, 8.0])
+    h = 0.2
+    model = fit_kde(samples, bandwidth=h)
+    cut = math.sqrt(1400.0)  # 37.42 bandwidths
+    outside = np.array([-3.0 - 37.45 * h, 8.0 + 37.45 * h, 8.0 + 50 * h, -1e6])
+    assert not np.any(kde_eval(model, outside))
+    inside = np.array([-3.0 - (cut - 0.05) * h, 8.0 + (cut - 0.05) * h])
+    assert np.all(kde_eval(model, inside) > 0.0)
+
+
 def test_kde_single_point_peak_height():
     model = fit_kde(np.array([0.0]), bandwidth=1.0)
     assert model.policy == "fixed"

@@ -15,8 +15,6 @@ from idstats.wytest import (
     WyConfig,
     decide,
     observed_details,
-    observed_stats,
-    permute_labels,
     wy_maxT,
 )
 
@@ -58,18 +56,6 @@ def test_config_validation():
         WyConfig(class_a="a", class_b="b", cv_folds=1)
 
 
-def test_permute_labels_is_seeded_and_preserves_groups():
-    labels = np.repeat([0, 1], [30, 50])
-    p1 = permute_labels(labels, b=1, master_seed=9)
-    p2 = permute_labels(labels, b=1, master_seed=9)
-    p3 = permute_labels(labels, b=2, master_seed=9)
-    assert np.array_equal(p1, p2)
-    assert not np.array_equal(p1, p3)
-    assert np.bincount(p1).tolist() == [30, 50]
-    with pytest.raises(DataError, match="two classes"):
-        permute_labels(np.array([0, 1, 2]), b=1, master_seed=0)
-
-
 def test_trace_entries_match_independently_recomputed_statistics():
     # one feature: the trace is exactly T_{1,b}, recomputable by permuting
     # the pooled labels ourselves and rerunning the KDE arithmetic
@@ -84,7 +70,9 @@ def test_trace_entries_match_independently_recomputed_statistics():
     )
     labels = np.repeat([0, 1], [40, 30])
     for b in range(1, 6):
-        permuted = permute_labels(labels, b=b, master_seed=cfg.seed)
+        # the b-th permutation stream is keyed by (seed, 1, b)
+        perm = np.random.default_rng([cfg.seed, 1, b]).permutation(labels.size)
+        permuted = labels[perm]
         xa = pooled[permuted == 0]
         xb = pooled[permuted == 1]
         h_a = bandwidth_for(xa, "scott")
@@ -180,15 +168,18 @@ def test_precomputed_observed_must_match_the_feature_list():
     assert with_obs.results == without.results
 
 
-def test_observed_stats_vector_matches_details():
+def test_observed_details_are_symmetric_in_the_class_pair():
     table = two_class_table(shift=0.5, seed=9)
     cfg = scott_config()
     details = observed_details(table, ["sig", "noise"], cfg)
-    vec = observed_stats(table, ["sig", "noise"], ("atk", "norm"), cfg)
-    assert vec.tolist() == [d.statistic for d in details]
-    # a different pair ordering is honored by swapping the config
-    swapped = observed_stats(table, ["sig"], ("norm", "atk"), cfg)
-    assert swapped.shape == (1,)
+    swapped = observed_details(
+        table, ["sig", "noise"], scott_config(class_a="norm", class_b="atk")
+    )
+    for d, s in zip(details, swapped):
+        assert s.feature == d.feature
+        assert s.statistic == pytest.approx(d.statistic, abs=1e-15)
+        assert (s.bandwidth_a, s.bandwidth_b) == (d.bandwidth_b, d.bandwidth_a)
+        assert (s.n_a, s.n_b) == (d.n_b, d.n_a)
 
 
 def test_cv_policy_runs_and_is_deterministic():
