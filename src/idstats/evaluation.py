@@ -180,25 +180,6 @@ def roc_auc_ovr_macro(y_true: np.ndarray, proba: np.ndarray) -> float:
     return float(np.mean(aucs))
 
 
-def macro_f1_from_proba(y: np.ndarray, proba: np.ndarray) -> float:
-    pred = np.argmax(proba, axis=1)
-    return prf_macro(confusion_matrix(y, pred, proba.shape[1])).f1
-
-
-def ovr_f1_from_proba(y: np.ndarray, proba: np.ndarray) -> np.ndarray:
-    """Binary one-vs-rest F1 per class (0/0 → 0)."""
-    pred = np.argmax(proba, axis=1)
-    cm = confusion_matrix(y, pred, proba.shape[1])
-    tp = np.diag(cm).astype(np.float64)
-    fp = cm.sum(axis=0) - tp
-    fn = cm.sum(axis=1) - tp
-    denom = 2 * tp + fp + fn
-    out = np.zeros(proba.shape[1], dtype=np.float64)
-    nonzero = denom > 0
-    out[nonzero] = 2 * tp[nonzero] / denom[nonzero]
-    return out
-
-
 @dataclass(frozen=True)
 class FoldMetrics:
     precision: float
@@ -355,14 +336,14 @@ def _fold_scores(shared: tuple, task: tuple) -> list[_FoldScores]:
 
 
 def _cross_validate_groups(
-    family: str,
-    groups: list[list[dict]],
+    groups: list[tuple[str, list[dict]]],
     table: ColumnTable,
     k: int,
     seed: int,
     workers: int,
 ) -> list[list[CvReport]]:
-    """A CvReport per cell of every group, all on one stratified fold split.
+    """A CvReport per cell of every (family, cells) group, all on one
+    stratified fold split.
 
     The (group, fold) tasks run on ``workers`` processes; the reports do not
     depend on the worker count.
@@ -370,10 +351,10 @@ def _cross_validate_groups(
     y = table.labels
     folds = stratified_kfold(y, k, seed, class_names=list(table.vocabulary.names))
     shared = (table.matrix(), y, folds.fold_of, table.vocabulary.n_classes, seed)
-    tasks = [(family, cells, f) for cells in groups for f in range(k)]
+    tasks = [(family, cells, f) for family, cells in groups for f in range(k)]
     scores = ordered_map(_fold_scores, tasks, shared, workers=workers)
     reports = []
-    for g, cells in enumerate(groups):
+    for g, (_, cells) in enumerate(groups):
         by_fold = scores[g * k : (g + 1) * k]
         reports.append(
             [_cv_report(k, [fold[c] for fold in by_fold]) for c in range(len(cells))]
@@ -389,8 +370,8 @@ def cross_validate(
     The fold seed also derives a per-fold model seed unless the spec carries
     an explicit one. Fit errors are re-raised annotated with the fold id.
     """
-    groups = [[model_spec.params]]
-    return _cross_validate_groups(model_spec.family, groups, table, k, seed, 1)[0][0]
+    groups = [(model_spec.family, [model_spec.params])]
+    return _cross_validate_groups(groups, table, k, seed, 1)[0][0]
 
 
 @dataclass
@@ -422,24 +403,11 @@ def selection_key(params: dict, mean_test_f1: float) -> tuple:
     return (-mean_test_f1, size, math.inf if depth is None else depth)
 
 
-def grid_search(
-    model_family: str,
-    param_grid: dict[str, list],
-    table: ColumnTable,
-    k: int = 10,
-    seed: int = 0,
-    workers: int = 1,
-) -> GridSearchResult:
-    """Exhaustively cross-validate a parameter grid for one model family.
-
-    Cells are enumerated in the grid's key order; every cell shares the same
-    fold assignment. Cells that differ only in n_trees (forest) or rounds
-    (gbdt) form a group that is fit once per fold at its largest size and
-    scored at every size, with the same reports as one fit per cell. Best
-    cell = highest mean held-out F1, ties broken toward fewer rounds/trees,
-    then lower max depth, then earlier cell. The (group, fold) fits run on
-    ``workers`` processes; results do not depend on it.
-    """
+def _grid_groups(
+    model_family: str, param_grid: dict[str, list]
+) -> tuple[list[dict], list[list[int]]]:
+    """The grid's cells in key order, and their indices grouped by every key
+    but the family's size key."""
     if not param_grid or any(len(v) == 0 for v in param_grid.values()):
         raise DataError("param_grid must be non-empty with non-empty value lists")
     size_key = _SIZE_KEY.get(model_family)
@@ -455,18 +423,45 @@ def grid_search(
     for i, params in enumerate(all_params):
         rest = tuple((key, value) for key, value in params.items() if key != size_key)
         groups.setdefault(rest, []).append(i)
-    reports = _cross_validate_groups(
-        model_family,
-        [[all_params[i] for i in members] for members in groups.values()],
-        table, k, seed, workers,
-    )
-    by_cell: dict[int, CvReport] = {}
-    for members, group_reports in zip(groups.values(), reports):
-        by_cell.update(zip(members, group_reports))
-    cells = [GridCell(params, by_cell[i]) for i, params in enumerate(all_params)]
-    best_index = min(
-        range(len(cells)),
-        key=lambda i: selection_key(cells[i].params, cells[i].report.test_mean.f1)
-        + (i,),
-    )
-    return GridSearchResult(family=model_family, best_index=best_index, cells=cells)
+    return all_params, list(groups.values())
+
+
+def grid_search(
+    grids: dict[str, dict[str, list]],
+    table: ColumnTable,
+    k: int = 10,
+    seed: int = 0,
+    workers: int = 1,
+) -> dict[str, GridSearchResult]:
+    """Exhaustively cross-validate a parameter grid per model family.
+
+    ``grids`` maps a family to its grid. Cells are enumerated in each grid's
+    key order; every cell of every family shares the same fold assignment.
+    Cells that differ only in n_trees (forest) or rounds (gbdt) form a group
+    that is fit once per fold at its largest size and scored at every size,
+    with the same reports as one fit per cell. Best cell = highest mean
+    held-out F1, ties broken toward fewer rounds/trees, then lower max depth,
+    then earlier cell. Every grid is checked before any fit; then one pool
+    of ``workers`` processes runs the (family, group, fold) fits of all
+    families. Results do not depend on the worker count.
+    """
+    layouts = {family: _grid_groups(family, grid) for family, grid in grids.items()}
+    groups = [
+        (family, [all_params[i] for i in members])
+        for family, (all_params, family_groups) in layouts.items()
+        for members in family_groups
+    ]
+    reports = iter(_cross_validate_groups(groups, table, k, seed, workers))
+    results = {}
+    for family, (all_params, family_groups) in layouts.items():
+        by_cell: dict[int, CvReport] = {}
+        for members in family_groups:
+            by_cell.update(zip(members, next(reports)))
+        cells = [GridCell(params, by_cell[i]) for i, params in enumerate(all_params)]
+        best_index = min(
+            range(len(cells)),
+            key=lambda i: selection_key(cells[i].params, cells[i].report.test_mean.f1)
+            + (i,),
+        )
+        results[family] = GridSearchResult(family, best_index, cells)
+    return results

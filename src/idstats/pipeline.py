@@ -26,6 +26,7 @@ from .config import RunConfig, config_echo
 from .density import overlap_coefficient, overlap_intervals, shape_summary
 from .errors import ConfigError, DataError, IdstatsError
 from .evaluation import confusion_matrix, grid_search, selection_key
+from .parallel import ordered_map
 from .preprocess import (
     drop_correlated,
     engineer_features,
@@ -49,7 +50,7 @@ from .trees import (
     rfe,
     save_model,
 )
-from .wytest import decide, observed_details, wy_maxT
+from .wytest import class_pair_columns, decide, observed_details, wy_maxT
 
 REPORT_FORMAT = "idstats-report"
 REPORT_VERSION = 1
@@ -130,7 +131,8 @@ def run_preprocess(cfg: RunConfig) -> dict:
     Order: dedup, stratified split, encoders fitted on the train rows and
     applied to both sides, engineered columns, robust scaling fitted on train,
     recursive elimination, then correlation pruning of the survivors.
-    ``cfg.threads`` processes grow the elimination forests' trees.
+    ``cfg.threads`` processes grow the elimination forests' trees and score
+    the pruning's Kendall pairs.
     """
     opts = cfg.preprocess
     schema = list(cfg.schema)
@@ -192,7 +194,7 @@ def run_preprocess(cfg: RunConfig) -> dict:
     selected = after_rfe
     if len(after_rfe) >= 2:
         selected, corr_dropped = drop_correlated(
-            train.select_columns(after_rfe), threshold=opts.correlation_threshold
+            train.select_columns(after_rfe), opts.correlation_threshold, cfg.threads
         )
 
     out = cfg.output
@@ -356,9 +358,10 @@ def _analysis_features(
 
 
 def run_cv(cfg: RunConfig) -> dict:
-    """Grid search per model family with shared folds, then refit the winner.
+    """Grid search over every model family on shared folds; refit the winner.
 
-    ``cfg.threads`` processes run the CV fits and the refit's forest trees.
+    ``cfg.threads`` processes run the CV fits of all families, in one pool,
+    and then the refit's forest trees.
     """
     if not cfg.cv.models:
         raise ConfigError("config.cv.models is empty; configure at least one family")
@@ -367,11 +370,9 @@ def run_cv(cfg: RunConfig) -> dict:
     test = art.test.select_columns(art.selected)
     cv_seed = derive_seed(cfg.seed, _CV_TAG)
 
-    searches: dict[str, object] = {}
-    for family, grid in cfg.cv.models.items():
-        searches[family] = grid_search(
-            family, grid, train, k=cfg.cv.k, seed=cv_seed, workers=cfg.threads
-        )
+    searches = grid_search(
+        cfg.cv.models, train, k=cfg.cv.k, seed=cv_seed, workers=cfg.threads
+    )
 
     ranked = sorted(
         searches.items(),
@@ -454,22 +455,26 @@ def run_cv(cfg: RunConfig) -> dict:
 # density
 
 
+def _density_summary(shared: tuple, feature: str):
+    table, policy, grid_size, seed = shared
+    return shape_summary(table, feature, policy=policy, n_points=grid_size, seed=seed)
+
+
 def run_density(cfg: RunConfig) -> dict:
-    """Per-feature, per-class shape summaries and KDE curves on shared grids."""
+    """Per-feature, per-class shape summaries and KDE curves on shared grids.
+
+    ``cfg.threads`` processes compute the features' summaries; the files are
+    written here, in feature order.
+    """
     art = load_artifacts(cfg.output)
     features = _analysis_features(art, cfg.density.features, "density")
     seed = derive_seed(cfg.seed, _DENSITY_TAG)
     plot_dir = cfg.output / "plotdata"
 
+    shared = (art.train, cfg.density.policy, cfg.density.grid_size, seed)
+    computed = ordered_map(_density_summary, features, shared, workers=cfg.threads)
     summaries = {}
-    for feature in features:
-        summary = shape_summary(
-            art.train,
-            feature,
-            policy=cfg.density.policy,
-            n_points=cfg.density.grid_size,
-            seed=seed,
-        )
+    for feature, summary in zip(features, computed):
         file_name = f"density_{_safe_name(feature)}.csv"
         header = ["x"] + [shape.class_name for shape in summary.classes]
         x = summary.grid.points
@@ -538,14 +543,24 @@ def run_density(cfg: RunConfig) -> dict:
 
 
 def run_wy(cfg: RunConfig) -> dict:
-    """Max-T permutation test for the configured class pair, plus overlaps."""
+    """Max-T permutation test for the configured class pair, plus overlaps.
+
+    ``cfg.threads`` processes compute the observed statistics, one task per
+    feature, and then the permutations; the observed ones come first because
+    frozen bandwidths (``refit_bandwidths: false``) are taken from them. The
+    class-pair matrix is built once for both.
+    """
     art = load_artifacts(cfg.output)
     features = _analysis_features(art, cfg.wy.features, "wy")
     wy_cfg = cfg.wy.to_wy_config(seed=derive_seed(cfg.seed, _WY_TAG))
 
-    observed = observed_details(art.train, features, wy_cfg)
+    columns = class_pair_columns(art.train, features, wy_cfg)
+    observed = observed_details(
+        art.train, features, wy_cfg, workers=cfg.threads, columns=columns
+    )
     report = wy_maxT(
-        art.train, features, wy_cfg, workers=cfg.threads, observed=observed
+        art.train, features, wy_cfg, workers=cfg.threads, observed=observed,
+        columns=columns,
     )
     decision = decide(report)
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DataQualityWarning
+from .parallel import ordered_map
 from .tabular import ColumnTable
 
 RECIPROCAL_EPS = 1e-9
@@ -221,20 +222,32 @@ class CorrelationMatrix:
         return float(self.values[self.names.index(a), self.names.index(b)])
 
 
+def _kendall_pair(cols: list[np.ndarray], pair: tuple[int, int]) -> float:
+    i, j = pair
+    return kendall_tau_b(cols[i], cols[j])
+
+
 def correlation_matrix(
-    t: ColumnTable, method: str, names: list[str] | None = None
+    t: ColumnTable, method: str, names: list[str] | None = None, workers: int = 1
 ) -> CorrelationMatrix:
-    """Pairwise Pearson or Kendall matrix over the named numeric columns."""
+    """Pairwise Pearson or Kendall matrix over the named numeric columns.
+
+    The Kendall pairs run on ``workers`` processes; the matrix does not
+    depend on it.
+    """
     if method not in ("pearson", "kendall"):
         raise DataError(f"unknown correlation method {method!r}")
     names = t.feature_names if names is None else names
-    measure = pearson_corr if method == "pearson" else kendall_tau_b
     p = len(names)
-    values = np.eye(p)
     cols = [t.column(name).astype(np.float64, copy=False) for name in names]
-    for i in range(p):
-        for j in range(i + 1, p):
-            values[i, j] = values[j, i] = measure(cols[i], cols[j])
+    pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
+    if method == "pearson":
+        coefficients = [pearson_corr(cols[i], cols[j]) for i, j in pairs]
+    else:
+        coefficients = ordered_map(_kendall_pair, pairs, cols, workers=workers)
+    values = np.eye(p)
+    for (i, j), coefficient in zip(pairs, coefficients):
+        values[i, j] = values[j, i] = coefficient
     return CorrelationMatrix(method=method, names=names, values=values)
 
 
@@ -245,14 +258,15 @@ class DroppedFeature:
 
 
 def drop_correlated(
-    t: ColumnTable, threshold: float = 0.7
+    t: ColumnTable, threshold: float = 0.7, workers: int = 1
 ) -> tuple[list[str], list[DroppedFeature]]:
     """Greedily drop features until no pair is correlated past the threshold.
 
     A pair violates when |coefficient| >= threshold under Pearson OR Kendall.
     From the worst violating pair, the member with the larger mean absolute
     correlation to the other retained features is dropped; ties keep the
-    earlier column.
+    earlier column. The Kendall pairs run on ``workers`` processes; the
+    result does not depend on it.
 
     Returns:
         (retained names in original order, dropped features with reasons).
@@ -261,7 +275,7 @@ def drop_correlated(
     if len(names) < 2:
         raise DataError("drop_correlated needs at least 2 columns")
     pear = correlation_matrix(t, "pearson", names).values
-    kend = correlation_matrix(t, "kendall", names).values
+    kend = correlation_matrix(t, "kendall", names, workers=workers).values
     strength = np.maximum(np.abs(pear), np.abs(kend))
     np.fill_diagonal(strength, 0.0)
 

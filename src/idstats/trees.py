@@ -1,6 +1,6 @@
 """Native tree family: CART decision tree on Gini gain, bootstrap random
 forest, and histogram-based gradient-boosted trees with a softmax objective,
-plus impurity/permutation importances and recursive feature elimination."""
+plus impurity importances and recursive feature elimination."""
 
 from __future__ import annotations
 
@@ -600,55 +600,6 @@ def impurity_importance(model) -> np.ndarray:
         raise DataError(f"unknown model type {type(model).__name__}")
     total = out.sum()
     return out / total if total > 0 else out
-
-
-def permutation_importance(
-    model,
-    X: np.ndarray,
-    y: np.ndarray,
-    metric=None,
-    seed: int = 0,
-    per_class: bool = False,
-    repeats: int = 5,
-) -> np.ndarray:
-    """Mean metric drop when one feature column is shuffled.
-
-    Args:
-        model: fitted model accepted by predict_proba.
-        X, y: held-out data.
-        metric: callable(y, proba) -> float; default macro F1.
-        seed: master seed; shuffle r of feature j uses child seed (seed, j, r).
-        per_class: also report per-class one-vs-rest F1 drops.
-        repeats: shuffles averaged per feature.
-
-    Returns:
-        Length-p vector, or an (p, n_classes) matrix when per_class is set.
-    """
-    from .evaluation import macro_f1_from_proba, ovr_f1_from_proba
-
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if metric is None:
-        metric = macro_f1_from_proba
-    n, p = X.shape
-    base_proba = predict_proba(model, X)
-    if per_class:
-        base = ovr_f1_from_proba(y, base_proba)
-        drops = np.zeros((p, base.size), dtype=np.float64)
-    else:
-        base = metric(y, base_proba)
-        drops = np.zeros(p, dtype=np.float64)
-    for j in range(p):
-        for r in range(repeats):
-            rng = np.random.default_rng([seed, j, r])
-            shuffled = X.copy()
-            shuffled[:, j] = shuffled[rng.permutation(n), j]
-            proba = predict_proba(model, shuffled)
-            if per_class:
-                drops[j] += base - ovr_f1_from_proba(y, proba)
-            else:
-                drops[j] += base - metric(y, proba)
-    return drops / repeats
 
 
 @dataclass

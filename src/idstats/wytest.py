@@ -170,16 +170,18 @@ class ObservedFeature:
     n_b: int
 
 
-def _class_pair_columns(
-    table: ColumnTable, features: list[str], class_a: str, class_b: str
+def class_pair_columns(
+    table: ColumnTable, features: list[str], cfg: WyConfig
 ) -> tuple[np.ndarray, int, int]:
-    """Pooled per-feature values, class-a rows first: matrix (p, n_a + n_b)."""
-    id_a = table.vocabulary.id_of(class_a)
-    id_b = table.vocabulary.id_of(class_b)
+    """Pooled per-feature values of the class pair, class-a rows first:
+    (matrix (p, n_a + n_b), n_a, n_b). Warns once for each class under
+    SMALL_GROUP_WARNING rows."""
+    id_a = table.vocabulary.id_of(cfg.class_a)
+    id_b = table.vocabulary.id_of(cfg.class_b)
     mask_a = table.labels == id_a
     mask_b = table.labels == id_b
     n_a, n_b = int(mask_a.sum()), int(mask_b.sum())
-    for name, count in ((class_a, n_a), (class_b, n_b)):
+    for name, count in ((cfg.class_a, n_a), (cfg.class_b, n_b)):
         if count == 0:
             raise DataError(f"class {name!r} has no rows")
         if count < SMALL_GROUP_WARNING:
@@ -187,7 +189,7 @@ def _class_pair_columns(
                 f"class {name!r} has only {count} rows; the permutation null "
                 "will be coarse",
                 DataQualityWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
     pooled = np.empty((len(features), n_a + n_b), dtype=np.float64)
     for i, feature in enumerate(features):
@@ -197,35 +199,39 @@ def _class_pair_columns(
     return pooled, n_a, n_b
 
 
+def _observed_feature(shared: tuple, i: int) -> ObservedFeature:
+    pooled, n_a, features, cfg = shared
+    values = pooled[i]
+    if np.all(values == values[0]):
+        warnings.warn(
+            f"feature {features[i]!r} is constant in both classes; statistic is 0",
+            DataQualityWarning,
+            stacklevel=2,
+        )
+    stat, h_a, h_b, pair = _pair_statistic(
+        values[:n_a], values[n_a:], cfg, b=0, feature_index=i
+    )
+    return ObservedFeature(features[i], stat, h_a, h_b, pair, n_a, values.size - n_a)
+
+
 def observed_details(
-    table: ColumnTable, features: list[str], cfg: WyConfig
+    table: ColumnTable,
+    features: list[str],
+    cfg: WyConfig,
+    workers: int = 1,
+    columns: tuple[np.ndarray, int, int] | None = None,
 ) -> list[ObservedFeature]:
-    """Observed per-feature statistics with bandwidths and mass pairs."""
-    pooled, n_a, n_b = _class_pair_columns(table, features, cfg.class_a, cfg.class_b)
-    out = []
-    for i, feature in enumerate(features):
-        values = pooled[i]
-        if np.all(values == values[0]):
-            warnings.warn(
-                f"feature {feature!r} is constant in both classes; statistic is 0",
-                DataQualityWarning,
-                stacklevel=2,
-            )
-        stat, h_a, h_b, pair = _pair_statistic(
-            values[:n_a], values[n_a:], cfg, b=0, feature_index=i
-        )
-        out.append(
-            ObservedFeature(
-                feature=feature,
-                statistic=stat,
-                bandwidth_a=h_a,
-                bandwidth_b=h_b,
-                pair=pair,
-                n_a=n_a,
-                n_b=n_b,
-            )
-        )
-    return out
+    """Observed per-feature statistics with bandwidths and mass pairs.
+
+    The features run on ``workers`` processes; the results do not depend on
+    it. ``columns`` is a class_pair_columns result for the same features to
+    reuse; it is built here when omitted.
+    """
+    pooled, n_a, _ = columns or class_pair_columns(table, features, cfg)
+    return ordered_map(
+        _observed_feature, range(len(features)), (pooled, n_a, features, cfg),
+        workers=workers,
+    )
 
 
 def _permutation_rows(shared: tuple, b_values: list[int]) -> np.ndarray:
@@ -260,6 +266,7 @@ def wy_maxT(
     cfg: WyConfig,
     workers: int = 1,
     observed: list[ObservedFeature] | None = None,
+    columns: tuple[np.ndarray, int, int] | None = None,
 ) -> WyTestReport:
     """Run the single-step maxT permutation test.
 
@@ -272,17 +279,23 @@ def wy_maxT(
         table: encoded table containing both classes.
         features: numeric feature names to test.
         cfg: test configuration.
-        workers: permutation-loop processes; results are independent of this.
+        workers: processes for the observed statistics and then the
+            permutation loop; results are independent of this.
         observed: precomputed observed_details output to reuse; computed here
             when omitted.
+        columns: precomputed class_pair_columns output for the same features
+            to reuse; built here when omitted.
     """
     if not features:
         raise DataError("wy_maxT needs at least one feature")
+    columns = columns or class_pair_columns(table, features, cfg)
+    pooled, n_a, n_b = columns
     if observed is None:
-        observed = observed_details(table, features, cfg)
+        observed = observed_details(
+            table, features, cfg, workers=workers, columns=columns
+        )
     elif [d.feature for d in observed] != list(features):
         raise DataError("observed details do not match the feature list")
-    pooled, n_a, n_b = _class_pair_columns(table, features, cfg.class_a, cfg.class_b)
     frozen = (
         None
         if cfg.refit_bandwidths

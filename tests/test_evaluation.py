@@ -11,8 +11,6 @@ from idstats.evaluation import (
     confusion_matrix,
     cross_validate,
     grid_search,
-    macro_f1_from_proba,
-    ovr_f1_from_proba,
     prf_macro,
     roc_auc_ovr_macro,
     selection_key,
@@ -141,18 +139,6 @@ def test_roc_auc_skips_absent_classes_with_warning():
     assert auc == 1.0
 
 
-def test_f1_helpers_match_prf():
-    rng = np.random.default_rng(5)
-    y = rng.integers(0, 3, size=90)
-    proba = rng.dirichlet(np.ones(3), size=90)
-    pred = np.argmax(proba, axis=1)
-    expect = prf_macro(confusion_matrix(y, pred, 3))
-    assert macro_f1_from_proba(y, proba) == pytest.approx(expect.f1)
-    ovr = ovr_f1_from_proba(y, proba)
-    assert ovr.shape == (3,)
-    assert np.all((0.0 <= ovr) & (ovr <= 1.0))
-
-
 def test_cross_validate_counts_folds_and_scores_well():
     table = blob_table(n_per=50, shift=4.0, seed=1)
     report = cross_validate(ModelSpec("forest", {"n_trees": 10}), table, k=5, seed=2)
@@ -191,9 +177,8 @@ def test_cross_validate_annotates_fold_errors():
 
 def test_grid_search_picks_highest_f1_then_smallest_model():
     table = blob_table(n_per=40, shift=4.0, seed=6)
-    result = grid_search(
-        "forest", {"n_trees": [5, 10], "max_depth": [None, 4]}, table, k=3, seed=1
-    )
+    grid = {"n_trees": [5, 10], "max_depth": [None, 4]}
+    result = grid_search({"forest": grid}, table, k=3, seed=1)["forest"]
     assert len(result.cells) == 4
     best_f1 = result.best_report.test_mean.f1
     for cell in result.cells:
@@ -216,6 +201,6 @@ def test_selection_key_orders_as_documented():
 def test_grid_search_rejects_empty_grids():
     table = blob_table(n_per=20, seed=7)
     with pytest.raises(DataError):
-        grid_search("forest", {}, table, k=2, seed=0)
+        grid_search({"forest": {}}, table, k=2, seed=0)
     with pytest.raises(DataError):
-        grid_search("forest", {"n_trees": []}, table, k=2, seed=0)
+        grid_search({"forest": {"n_trees": []}}, table, k=2, seed=0)

@@ -4,13 +4,14 @@ count, and no pool inside a pool."""
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
 from idstats import evaluation, parallel
-from idstats.errors import DataError
+from idstats.errors import DataError, DataQualityWarning
 from idstats.evaluation import cross_validate, grid_search
 from idstats.tabular import ColumnTable, LabelVocabulary
 from idstats.trees import ModelSpec, fit_forest, model_to_dict
@@ -63,6 +64,38 @@ def test_ordered_map_raises_when_a_worker_dies():
         parallel.ordered_map(_exit_on_two, [0, 1, 2, 3], workers=2)
 
 
+def _warn_twice(shared, task):
+    warnings.warn(f"task {task} first", DataQualityWarning)
+    warnings.warn(f"task {task} second", UserWarning)
+    return task
+
+
+def _map_recording_warnings(workers):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = parallel.ordered_map(_warn_twice, [3, 1, 2], workers=workers)
+    return results, [(w.category, str(w.message)) for w in caught]
+
+
+def test_ordered_map_reraises_worker_warnings_in_task_order():
+    serial = _map_recording_warnings(1)
+    assert serial == (
+        [3, 1, 2],
+        [
+            (category, f"task {task} {which}")
+            for task in (3, 1, 2)
+            for category, which in ((DataQualityWarning, "first"), (UserWarning, "second"))
+        ],
+    )
+    assert _map_recording_warnings(2) == serial
+    # the caller's filters decide what a relayed warning does
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", DataQualityWarning)
+        with pytest.raises(DataQualityWarning, match="task 3 first"):
+            parallel.ordered_map(_warn_twice, [3, 1, 2], workers=2)
+
+
 class _NoPools:
     """Stands in for the multiprocessing module: starting a pool fails."""
 
@@ -98,11 +131,11 @@ def test_fit_forest_inside_a_pooled_task_runs_serially_with_the_same_trees():
 )
 def test_grid_cells_equal_cross_validating_each_cell_alone(family, grid):
     table = three_blobs(seed=2)
-    result = grid_search(family, grid, table, k=3, seed=5)
+    result = grid_search({family: grid}, table, k=3, seed=5)[family]
     for cell in result.cells:
         alone = cross_validate(ModelSpec(family, cell.params), table, k=3, seed=5)
         assert cell.report == alone
-    pooled = grid_search(family, grid, table, k=3, seed=5, workers=2)
+    pooled = grid_search({family: grid}, table, k=3, seed=5, workers=2)[family]
     assert pooled.cells == result.cells
     assert pooled.best_index == result.best_index
 
@@ -117,7 +150,7 @@ def test_grid_search_fits_each_group_once_per_fold(monkeypatch):
 
     monkeypatch.setattr(evaluation, "fit_model", counting_fit)
     grid = {"n_trees": [2, 6, 4], "max_depth": [2, 3]}
-    grid_search("forest", grid, three_blobs(seed=3), k=3, seed=0)
+    grid_search({"forest": grid}, three_blobs(seed=3), k=3, seed=0)
     # one group per depth, fit at its largest size on each of the 3 folds
     expected = [{"n_trees": 6, "max_depth": d} for d in (2, 3) for _ in range(3)]
     assert fitted == expected
@@ -127,4 +160,4 @@ def test_grid_search_rejects_bad_sizes_before_fitting():
     table = three_blobs(seed=4)
     for bad in (0, "many", True):
         with pytest.raises(DataError, match="n_trees"):
-            grid_search("forest", {"n_trees": [2, bad]}, table, k=2, seed=0)
+            grid_search({"forest": {"n_trees": [2, bad]}}, table, k=2, seed=0)

@@ -5,13 +5,16 @@ from __future__ import annotations
 import csv
 import fcntl
 import json
+import shutil
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from idstats import cli
+from idstats.errors import DataQualityWarning
 
 CONFIG_YAML = """\
 input: data.csv
@@ -188,29 +191,73 @@ def test_rerunning_stages_reproduces_the_report_byte_for_byte(run_dir):
     assert report_path.read_bytes() == before
 
 
+def _run_outputs(base: Path, config: str, threads: str, stages) -> dict:
+    """Every deterministic output file of a fresh run, by relative path."""
+    (base / "run.yaml").write_text(config, encoding="utf-8")
+    out = base / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    for command in stages:
+        rc = cli.main(
+            [command, "--config", str(base / "run.yaml"), "--out", str(out),
+             "--threads", threads]
+        )
+        assert rc == 0, command
+    files = [out / "report.json", *(out / "artifacts").glob("*.json")]
+    for folder in ("fragments", "tables", "plotdata"):
+        files += (out / folder).rglob("*")
+    return {str(f.relative_to(out)): f.read_bytes() for f in files if f.is_file()}
+
+
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path):
     write_dataset(tmp_path / "data.csv")
-    (tmp_path / "run.yaml").write_text(CONFIG_YAML, encoding="utf-8")
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"out{threads}"
-        for command in ("preprocess", "cv"):
-            rc = cli.main(
-                [command, "--config", str(tmp_path / "run.yaml"),
-                 "--out", str(out), "--threads", threads]
-            )
-            assert rc == 0, command
-        outputs.append(
-            [
-                (out / name).read_bytes()
-                for name in (
-                    "fragments/preprocess.json",
-                    "fragments/cv.json",
-                    "artifacts/best_model.json",
-                )
-            ]
+    two_families = CONFIG_YAML.replace(
+        "      max_depth: [5]\n",
+        "      max_depth: [5]\n    gbdt:\n      rounds: [2, 3]\n      max_depth: [2]\n",
+    )
+    variants = {
+        # observed statistics and bandwidth CV on the pool, two CV families
+        "cv": two_families.replace("bandwidth: scott", "bandwidth: cv"),
+        # observed statistics first, their bandwidths frozen for the pool
+        "frozen": CONFIG_YAML + "  refit_bandwidths: false\n",
+    }
+    for name, config in variants.items():
+        stages = ("preprocess", "cv", "density", "wy")
+        serial = _run_outputs(tmp_path, config, "1", stages)
+        pooled = _run_outputs(tmp_path, config, "2", stages)
+        # the config echo names the thread count; nothing else may differ
+        echo = b'"threads": 2,'
+        assert pooled["report.json"].count(echo) == 1
+        pooled["report.json"] = pooled["report.json"].replace(echo, b'"threads": 1,')
+        assert sorted(pooled) == sorted(serial), name
+        for path in serial:
+            assert pooled[path] == serial[path], (name, path)
+        assert "fragments/wy.json" in serial and "tables/cv_metrics.csv" in serial
+    report = json.loads(serial["report.json"])
+    assert report["config"]["wy"]["refit_bandwidths"] is False
+
+
+def test_worker_warnings_reach_the_caller_in_order(tmp_path):
+    write_dataset(tmp_path / "data.csv")
+    rng = np.random.default_rng(7)
+    extra = [("rare", 2), ("few", 6)]  # 1 and 4 training rows after the split
+    with open(tmp_path / "data.csv", "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(
+            [*(f"{v:.6f}" for v in rng.normal(1.0, 1.0, 4)), "tcp", label]
+            for label, count in extra
+            for _ in range(count)
         )
-    assert outputs[0] == outputs[1]
+    config = CONFIG_YAML.replace("classes: [attack, flood]", "classes: [few, attack]")
+    runs = []
+    for threads in ("1", "2"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _run_outputs(tmp_path, config, threads, ("preprocess", "density", "wy"))
+        runs.append(
+            [str(w.message) for w in caught if issubclass(w.category, DataQualityWarning)]
+        )
+    assert runs[1] == runs[0]
+    assert any("class 'rare' has one row" in m for m in runs[0])
+    assert sum("class 'few' has only 4 rows" in m for m in runs[0]) == 1
 
 
 def test_seed_override_changes_the_report(run_dir, capsys):

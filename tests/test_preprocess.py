@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,3 +235,22 @@ def test_drop_correlated_keeps_one_of_an_identical_trio():
     retained, dropped = drop_correlated(t, threshold=0.99)
     assert len(retained) == 1
     assert len(dropped) == 2
+
+
+def test_drop_correlated_relays_kendall_warnings_from_workers():
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=80)
+    t = table_from(
+        x=x, flat=np.ones(80), near=x + rng.normal(0.0, 0.1, 80), noise=rng.normal(size=80)
+    )
+    runs = []
+    for workers in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = drop_correlated(t, threshold=0.7, workers=workers)
+        runs.append((result, [(w.category, str(w.message)) for w in caught]))
+    assert runs[1] == runs[0]
+    kendall = [m for c, m in runs[0][1] if c is DataQualityWarning and "kendall" in m]
+    assert len(kendall) == 3  # flat against each of the other three columns
+    assert {d.name for d in runs[0][0][1]} <= {"x", "near"}
+    assert len(runs[0][0][1]) == 1

@@ -22,7 +22,6 @@ from idstats.trees import (
     load_model,
     model_from_dict,
     model_to_dict,
-    permutation_importance,
     predict_labels,
     predict_proba,
     rfe,
@@ -224,24 +223,6 @@ def test_importance_of_leaf_only_model_is_zero_vector():
     y = np.ones(8, dtype=np.int64)
     imp = impurity_importance(fit_tree(X, y, n_classes=2))
     assert imp.tolist() == [0.0, 0.0, 0.0]
-
-
-def test_permutation_importance_finds_the_informative_feature():
-    rng = np.random.default_rng(15)
-    n = 300
-    signal = np.concatenate([rng.normal(0, 1, n // 2), rng.normal(3, 1, n // 2)])
-    X = np.column_stack([signal, rng.normal(size=n), rng.normal(size=n)])
-    y = np.repeat([0, 1], n // 2)
-    forest = fit_forest(X, y, n_trees=15, seed=0)
-    drop = permutation_importance(forest, X, y, seed=0, repeats=3)
-    assert drop.shape == (3,)
-    assert np.argmax(drop) == 0
-    assert drop[0] > 0.1
-    # deterministic in its seed
-    again = permutation_importance(forest, X, y, seed=0, repeats=3)
-    assert np.array_equal(drop, again)
-    per_class = permutation_importance(forest, X, y, seed=0, repeats=3, per_class=True)
-    assert per_class.shape == (3, 2)
 
 
 def test_rfe_keep_threshold_zero_drops_nothing():

@@ -211,6 +211,16 @@ def test_small_groups_and_constant_features_warn():
     assert details[0].statistic == 0.0
 
 
+def test_small_class_warns_once_per_test():
+    table = two_class_table(n_a=10, n_b=25, seed=11)
+    for workers in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            wy_maxT(table, ["sig", "noise"], scott_config(permutations=4), workers=workers)
+        small = [w for w in caught if "only 10 rows" in str(w.message)]
+        assert len(small) == 1
+
+
 def test_missing_class_and_empty_features_fail():
     table = two_class_table(seed=12)
     cfg = scott_config(permutations=3)
