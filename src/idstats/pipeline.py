@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
+from .atomic import atomic_open
 from .config import RunConfig, config_echo
 from .density import overlap_coefficient, overlap_intervals, shape_summary
 from .errors import ConfigError, DataError, IdstatsError
@@ -84,14 +85,13 @@ def _jsonable(value):
 
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with atomic_open(path, encoding="utf-8") as handle:
+        handle.write(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path, encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)
@@ -214,16 +214,17 @@ def run_preprocess(cfg: RunConfig) -> dict:
 
     npz_path, state_path = _artifact_paths(out)
     npz_path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        npz_path,
-        X_train=train.matrix(),
-        y_train=train.labels,
-        X_test=test.matrix(),
-        y_test=test.labels,
-        feature_names=np.array(names, dtype=str),
-        class_names=np.array(class_names, dtype=str),
-        selected=np.array(selected, dtype=str),
-    )
+    with atomic_open(npz_path, "wb") as handle:
+        np.savez(
+            handle,
+            X_train=train.matrix(),
+            y_train=train.labels,
+            X_test=test.matrix(),
+            y_test=test.labels,
+            feature_names=np.array(names, dtype=str),
+            class_names=np.array(class_names, dtype=str),
+            selected=np.array(selected, dtype=str),
+        )
     state = {
         "schema": [
             {"name": c.name, "role": c.role, "encoding": c.encoding} for c in schema

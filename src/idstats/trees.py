@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import DataError
 from .parallel import ordered_map
 
@@ -36,7 +37,7 @@ def gini(counts: np.ndarray) -> float:
 
 
 def _check_xy(X: np.ndarray, y: np.ndarray, n_classes: int | None) -> tuple:
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2:
         raise DataError("X must be a 2-D matrix")
@@ -73,45 +74,75 @@ class TreeNode:
         return self.left is None
 
 
+# Split-search temporaries hold at most this many class × row cells.
+_BLOCK_CELLS = 1 << 17
+
+
+def _sorted_rows(X: np.ndarray) -> np.ndarray:
+    """p × n row ids, each feature's row sorted by that column (stable)."""
+    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+
+
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the classes (axis 1) in np.sum's order for a row of classes."""
+    if a.shape[1] < 8:
+        return a.sum(axis=1)
+    return np.ascontiguousarray(a.transpose(0, 2, 1)).sum(axis=2)
+
+
 def _best_split(
     X: np.ndarray,
-    onehot: np.ndarray,
-    idx: np.ndarray,
+    y: np.ndarray,
+    weight: np.ndarray,
+    rows: np.ndarray,
     features: np.ndarray,
     min_leaf: int,
+    n: int,
     parent_impurity: float,
+    total: np.ndarray,
 ) -> tuple[float, int, float] | None:
     """Best (gain, feature, threshold) over midpoint candidates, or None.
 
-    Candidates put the first s sorted rows on the left, min_leaf <= s <=
-    n − min_leaf, restricted to boundaries between distinct values. The first
-    (feature, lowest threshold) wins ties, so the result is deterministic.
+    ``rows[f]`` lists the node's distinct rows sorted by feature f; row r
+    counts weight[r] times, and ``total`` holds the class counts of the n
+    rows. Candidates put the first s rows on the left, min_leaf <= s <=
+    n − min_leaf, at boundaries between distinct values. Features are scored
+    in blocks of at most _BLOCK_CELLS class × row cells. The first (feature,
+    lowest threshold) wins ties, so the result is deterministic.
     """
-    n = idx.size
-    if n - min_leaf < min_leaf:
-        return None
+    # An absent class adds exact zeros to the Gini sums, so below 8 classes,
+    # where np.sum adds left to right, it can be left out.
+    classes = np.flatnonzero(total) if total.size < 8 else np.arange(total.size)
+    total = total[classes, None]
+    step = max(1, _BLOCK_CELLS // (classes.size * rows.shape[1]))
     best: tuple[float, int, float] | None = None
-    total = onehot[idx].sum(axis=0)
-    for f in features:
-        v = X[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        cum = np.cumsum(onehot[idx[order]], axis=0)
-        s = np.arange(min_leaf, n - min_leaf + 1)
-        distinct = vs[s - 1] < vs[s]
-        if not np.any(distinct):
-            continue
-        s = s[distinct]
-        left = cum[s - 1]
-        right = total[None, :] - left
-        sizes = s.astype(np.float64)
-        gini_left = 1.0 - np.sum((left / sizes[:, None]) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right / (n - sizes)[:, None]) ** 2, axis=1)
-        gain = parent_impurity - (sizes / n) * gini_left - ((n - sizes) / n) * gini_right
-        pick = int(np.argmax(gain))
-        if best is None or gain[pick] > best[0] + _GAIN_EPS:
-            threshold = 0.5 * (vs[s[pick] - 1] + vs[s[pick]])
-            best = (float(gain[pick]), int(f), float(threshold))
+    for start in range(0, features.size, step):
+        block = features[start:start + step]
+        order = rows[block]
+        vs = X.take(order * X.shape[1] + block[:, None])
+        w = weight[order]
+        # candidate i splits after the first i + 1 distinct rows
+        sizes = w.cumsum(axis=1)[:, :-1]
+        right_sizes = n - sizes
+        valid = vs[:, :-1] < vs[:, 1:]
+        if min_leaf > 1:
+            valid &= (sizes >= min_leaf) & (right_sizes >= min_leaf)
+        cum = (y[order][:, None, :] == classes[:, None]) * w[:, None, :]
+        left = np.add.accumulate(cum, axis=2, out=cum)[:, :, :-1]
+        right = total - left
+        left /= sizes[:, None]
+        right /= right_sizes[:, None]
+        gini_left = 1.0 - _class_sum(np.square(left, out=left))
+        gini_right = 1.0 - _class_sum(np.square(right, out=right))
+        gain = np.where(
+            valid,
+            parent_impurity - (sizes / n) * gini_left - (right_sizes / n) * gini_right,
+            -np.inf,
+        )
+        for j, pick in enumerate(gain.argmax(axis=1).tolist()):
+            if valid[j, pick] and (best is None or gain[j, pick] > best[0] + _GAIN_EPS):
+                threshold = 0.5 * (vs[j, pick] + vs[j, pick + 1])
+                best = (float(gain[j, pick]), int(block[j]), float(threshold))
     return best
 
 
@@ -130,7 +161,9 @@ def fit_tree(
     candidate split; otherwise the best candidate is taken (a zero-gain split
     is allowed; that is required to e.g. separate XOR at depth 2). When
     feature_subset < p, each node draws that many features without
-    replacement from the tree's RNG in depth-first order.
+    replacement from the tree's RNG in depth-first order. Each column is
+    sorted once per fit and nodes split the presorted rows; the tree is the
+    one a sort at every node would grow.
 
     Args:
         X: n × p float matrix.
@@ -146,55 +179,74 @@ def fit_tree(
     """
     X, y, n_classes = _check_xy(X, y, n_classes)
     rng = np.random.default_rng(seed)
-    return _grow_tree(X, y, n_classes, max_depth, min_leaf, feature_subset, rng)
+    return _grow_tree(
+        X, y, np.ones(X.shape[0]), _sorted_rows(X), n_classes, max_depth, min_leaf,
+        feature_subset, rng,
+    )
 
 
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
+    weight: np.ndarray,
+    order: np.ndarray,
     n_classes: int,
     max_depth: int | None,
     min_leaf: int,
     feature_subset: int | None,
     rng: np.random.Generator,
 ) -> TreeNode:
-    n, p = X.shape
+    """CART on the sample that holds row r of X weight[r] times.
+
+    ``order`` lists every row id of X sorted per feature (p × N). A node keeps
+    its distinct rows in that order, and a split partitions all p lists with
+    one mask, so no node sorts. The tree is the one grown on the expanded
+    sample by sorting at every node, since a node depends only on which rows
+    reach it and how often.
+    """
+    p = X.shape[1]
     if min_leaf < 1:
         raise DataError("min_leaf must be >= 1")
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
-    onehot[np.arange(n), y] = 1.0
     m = p if feature_subset is None else min(max(int(feature_subset), 1), p)
+    goes_left = np.zeros(X.shape[0], dtype=bool)
 
-    def node_for(idx: np.ndarray) -> TreeNode:
-        counts = onehot[idx].sum(axis=0)
-        return TreeNode(
-            n_samples=int(idx.size),
-            impurity=gini(counts),
-            distribution=counts / idx.size,
-        )
+    def node_for(rows: np.ndarray, counts=None) -> tuple[TreeNode, np.ndarray, np.ndarray]:
+        if counts is None:
+            counts = np.bincount(y[rows[0]], weights=weight[rows[0]], minlength=n_classes)
+        size = int(counts.sum())
+        shares = counts / size
+        impurity = float(1.0 - np.dot(shares, shares))  # gini(counts)
+        return TreeNode(size, impurity, shares), rows, counts
 
-    root = node_for(np.arange(n))
+    rows = order[(weight > 0)[order]].reshape(p, np.count_nonzero(weight))
+    root, rows, counts = node_for(rows, np.bincount(y, weights=weight, minlength=n_classes))
     root.n_features = p
     # depth-first, left before right, so RNG consumption is deterministic
-    stack: list[tuple[TreeNode, np.ndarray, int]] = [(root, np.arange(n), 0)]
+    stack: list[tuple[TreeNode, np.ndarray, np.ndarray, int]] = [(root, rows, counts, 0)]
     while stack:
-        node, idx, depth = stack.pop()
+        node, rows, counts, depth = stack.pop()
         if (
             (max_depth is not None and depth >= max_depth)
-            or idx.size < 2 * min_leaf
+            or node.n_samples < 2 * min_leaf
             or node.impurity <= 0.0
         ):
             continue
         features = rng.choice(p, size=m, replace=False) if m < p else np.arange(p)
-        best = _best_split(X, onehot, idx, features, min_leaf, node.impurity)
+        best = _best_split(
+            X, y, weight, rows, features, min_leaf, node.n_samples,
+            node.impurity, counts,
+        )
         if best is None:
             continue
         _, node.feature, node.threshold = best
-        mask = X[idx, node.feature] <= node.threshold
-        node.left = node_for(idx[mask])
-        node.right = node_for(idx[~mask])
-        stack.append((node.right, idx[~mask], depth + 1))
-        stack.append((node.left, idx[mask], depth + 1))
+        by_feature = rows[node.feature]
+        goes_left[by_feature] = X[by_feature, node.feature] <= node.threshold
+        mask = goes_left[rows]
+        left = node_for(rows[mask].reshape(p, -1))
+        right = node_for(rows[~mask].reshape(p, -1))
+        node.left, node.right = left[0], right[0]
+        stack.append((*right, depth + 1))
+        stack.append((*left, depth + 1))
     return root
 
 
@@ -228,13 +280,14 @@ class ForestModel:
 
 def _forest_tree(shared: tuple, i: int) -> TreeNode:
     """Tree i of a forest: its bootstrap and feature draws come from (seed, i)."""
-    X, y, n_classes, max_depth, min_leaf, m, bootstrap, seed = shared
+    X, y, order, n_classes, max_depth, min_leaf, m, bootstrap, seed = shared
     n, p = X.shape
     rng = np.random.default_rng([seed, i])
-    sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+    drawn = np.ones(n)
+    if bootstrap:
+        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
     tree = _grow_tree(
-        X[sample], y[sample], n_classes, max_depth, min_leaf,
-        m if m < p else None, rng,
+        X, y, drawn, order, n_classes, max_depth, min_leaf, m if m < p else None, rng
     )
     tree.n_features = p
     return tree
@@ -256,6 +309,9 @@ def fit_forest(
 
     Tree i draws from an RNG seeded by (seed, i), so results do not depend on
     build order or on ``workers``, the number of processes growing trees.
+    The columns are sorted once per forest, and the orders reach the workers
+    with X in the pool's shared tuple; each tree splits its bootstrap's
+    presorted rows and is the tree a sort at every node would grow.
     """
     X, y, n_classes = _check_xy(X, y, n_classes)
     if n_trees < 1:
@@ -268,7 +324,7 @@ def fit_forest(
     else:
         m = min(max(int(max_features), 1), p)
 
-    shared = (X, y, n_classes, max_depth, min_leaf, m, bootstrap, seed)
+    shared = (X, y, _sorted_rows(X), n_classes, max_depth, min_leaf, m, bootstrap, seed)
     trees = ordered_map(_forest_tree, range(n_trees), shared, workers=workers)
     return ForestModel(
         trees=trees,
@@ -350,10 +406,12 @@ def _quantile_bin_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
 
 
 def _bin_codes(X: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
-    codes = np.empty(X.shape, dtype=np.int32)
+    """n × p bin codes, feature f's offset by f·NB (NB = widest bin count)."""
+    width = max((e.size for e in edges), default=0) + 1
+    codes = np.empty(X.shape, dtype=np.intp)
     for f, e in enumerate(edges):
         # code <= j  <=>  x <= edges[j]
-        codes[:, f] = np.searchsorted(e, X[:, f], side="left")
+        codes[:, f] = np.searchsorted(e, X[:, f], side="left") + f * width
     return codes
 
 
@@ -369,52 +427,54 @@ def _fit_hist_tree(
 ) -> tuple[_GbdtNode, np.ndarray]:
     """One Newton regression tree on gradient/hessian histograms.
 
-    Returns the tree and the per-sample leaf values (already shrunk by the
-    learning rate), so training can update scores without re-routing.
+    ``codes`` (n × p) offsets feature f's bin codes by f·NB, NB the widest
+    bin count, so one weighted bincount per statistic makes a node's
+    histograms of all features; each bin still adds its rows in row order,
+    so the sums are those of per-feature bincounts to the last bit. Returns
+    the tree and the per-sample leaf values (already shrunk by the learning
+    rate), so training can update scores without re-routing.
     """
     n, p = codes.shape
+    n_cuts = np.array([e.size for e in edges], dtype=np.intp)
+    width = int(n_cuts.max(initial=0)) + 1
+    # cut j of feature f is a candidate only where f has more than j + 1 bins
+    cuttable = np.arange(width - 1) < n_cuts[:, None]
     values = np.empty(n, dtype=np.float64)
 
-    def node_for(idx: np.ndarray) -> tuple[_GbdtNode, float, float]:
+    def node_for(idx: np.ndarray) -> tuple[_GbdtNode, np.ndarray, float, float]:
         sum_g = float(g[idx].sum())
         sum_h = float(h[idx].sum())
         step = -learning_rate * sum_g / (sum_h + lambda_reg)
-        return _GbdtNode(n_samples=int(idx.size), value=step), sum_g, sum_h
+        return _GbdtNode(n_samples=int(idx.size), value=step), idx, sum_g, sum_h
 
-    root, _, _ = node_for(np.arange(n))
-    stack: list[tuple[_GbdtNode, np.ndarray, int]] = [(root, np.arange(n), 0)]
+    stack = [(*node_for(np.arange(n)), 0)]
+    root = stack[0][0]
     while stack:
-        node, idx, depth = stack.pop()
-        if (max_depth is not None and depth >= max_depth) or idx.size < 2:
+        node, idx, total_g, total_h, depth = stack.pop()
+        if (max_depth is not None and depth >= max_depth) or idx.size < 2 or width < 2:
             values[idx] = node.value
             continue
-        total_g = float(g[idx].sum())
-        total_h = float(h[idx].sum())
         base_score = total_g * total_g / (total_h + lambda_reg)
+        node_codes = codes.take(idx, axis=0)
+        flat = node_codes.ravel()
+        hist_g = np.bincount(flat, weights=np.repeat(g[idx], p), minlength=p * width)
+        hist_h = np.bincount(flat, weights=np.repeat(h[idx], p), minlength=p * width)
+        cg = np.cumsum(hist_g.reshape(p, width), axis=1)[:, :-1]
+        ch = np.cumsum(hist_h.reshape(p, width), axis=1)[:, :-1]
+        valid = cuttable & (ch >= min_child_weight) & (total_h - ch >= min_child_weight)
+        gain = np.where(
+            valid,
+            cg * cg / (ch + lambda_reg)
+            + (total_g - cg) ** 2 / (total_h - ch + lambda_reg)
+            - base_score,
+            -np.inf,
+        )
         best_gain = 0.0
         best = None  # (feature, edge index)
-        for f in range(p):
-            nb = edges[f].size + 1
-            if nb < 2:
-                continue
-            hist_g = np.bincount(codes[idx, f], weights=g[idx], minlength=nb)
-            hist_h = np.bincount(codes[idx, f], weights=h[idx], minlength=nb)
-            cg = np.cumsum(hist_g)[:-1]
-            ch = np.cumsum(hist_h)[:-1]
-            valid = (ch >= min_child_weight) & (total_h - ch >= min_child_weight)
-            if not np.any(valid):
-                continue
-            gain = np.where(
-                valid,
-                cg * cg / (ch + lambda_reg)
-                + (total_g - cg) ** 2 / (total_h - ch + lambda_reg)
-                - base_score,
-                -np.inf,
-            )
-            pick = int(np.argmax(gain))
-            if gain[pick] > best_gain + _GAIN_EPS:
-                best_gain = float(gain[pick])
-                best = (f, pick)
+        for f, pick in enumerate(np.argmax(gain, axis=1)):
+            if gain[f, pick] > best_gain + _GAIN_EPS:
+                best_gain = float(gain[f, pick])
+                best = (f, int(pick))
         if best is None:
             values[idx] = node.value
             continue
@@ -422,12 +482,11 @@ def _fit_hist_tree(
         node.feature, node.bin_edge = f, j
         node.threshold = float(edges[f][j])
         node.gain = best_gain
-        mask = codes[idx, f] <= j
-        left, _, _ = node_for(idx[mask])
-        right, _, _ = node_for(idx[~mask])
-        node.left, node.right = left, right
-        stack.append((right, idx[~mask], depth + 1))
-        stack.append((left, idx[mask], depth + 1))
+        mask = node_codes[:, f] <= f * width + j
+        left, right = node_for(idx[mask]), node_for(idx[~mask])
+        node.left, node.right = left[0], right[0]
+        stack.append((*right, depth + 1))
+        stack.append((*left, depth + 1))
     return root, values
 
 
@@ -449,7 +508,10 @@ def fit_gbdt(
     g = p_k − 1{y=k}, h = p_k(1−p_k); scores start at the log class priors.
     ``train_loss`` records the training log-loss before any trees and after
     each round (length rounds + 1). The fit is deterministic; ``seed`` is kept
-    for interface symmetry with the other families.
+    for interface symmetry with the other families. The bin codes are made
+    once per fit, offset per feature, so each node builds the histograms of
+    every feature with one bincount per statistic; the trees are those of
+    per-feature histograms, bit for bit.
 
     Args:
         X: n × p float matrix.
@@ -857,7 +919,7 @@ def model_from_dict(data: dict):
 
 
 def save_model(model, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_open(path, encoding="utf-8") as handle:
         json.dump(model_to_dict(model), handle)
 
 

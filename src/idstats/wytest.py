@@ -175,7 +175,8 @@ def class_pair_columns(
 ) -> tuple[np.ndarray, int, int]:
     """Pooled per-feature values of the class pair, class-a rows first:
     (matrix (p, n_a + n_b), n_a, n_b). Warns once for each class under
-    SMALL_GROUP_WARNING rows."""
+    SMALL_GROUP_WARNING rows. Rejects, before any statistic is computed, a
+    class under 2 rows, or under cv_folds rows with ``bandwidth: cv``."""
     id_a = table.vocabulary.id_of(cfg.class_a)
     id_b = table.vocabulary.id_of(cfg.class_b)
     mask_a = table.labels == id_a
@@ -184,6 +185,12 @@ def class_pair_columns(
     for name, count in ((cfg.class_a, n_a), (cfg.class_b, n_b)):
         if count == 0:
             raise DataError(f"class {name!r} has no rows")
+        least = cfg.cv_folds if cfg.bandwidth_policy == "cv" else 2
+        if count < least:
+            raise DataError(
+                f"class {name!r} has {count} row(s); a density under "
+                f"bandwidth: {cfg.bandwidth_policy} needs at least {least}"
+            )
         if count < SMALL_GROUP_WARNING:
             warnings.warn(
                 f"class {name!r} has only {count} rows; the permutation null "

@@ -380,3 +380,28 @@ def test_shape_summary_skips_empty_class_with_warning():
     with pytest.warns(DataQualityWarning, match="burst"):
         summary = shape_summary(trimmed, "speed")
     assert [c.class_name for c in summary.classes] == ["calm"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_js_distance_matches_scipy_jensenshannon(seed):
+    distance = pytest.importorskip("scipy.spatial.distance")
+    rng = np.random.default_rng(seed)
+    p = rng.gamma(0.5, 1.0, 64)
+    q = rng.gamma(2.0, 1.0, 64)
+    q[:5] = 0.0  # zero masses against positive ones
+    p, q = p / p.sum(), q / q.sum()
+    assert p[p > 0].min() > 1e-300 and q[q > 0].min() > 1e-300  # no subnormals
+    pair = DensityPair(grid=EvalGrid(np.arange(64.0)), p=p, q=q)
+    expected = distance.jensenshannon(p, q, base=2)
+    assert js_distance(pair) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.05, 0.4, 2.0])
+def test_kde_eval_matches_scipy_gaussian_kde(h):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(3)
+    samples = rng.gamma(2.0, 1.5, 300)
+    points = np.linspace(samples.min() - 3 * h, samples.max() + 3 * h, 257)
+    reference = stats.gaussian_kde(samples, bw_method=h / samples.std(ddof=1))
+    ours = kde_eval(fit_kde(samples, bandwidth=h), points)
+    np.testing.assert_allclose(ours, reference(points), rtol=1e-10, atol=0.0)

@@ -12,9 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from idstats import cli
-from idstats.errors import DataQualityWarning
+from idstats.config import parse_config
+from idstats.errors import DataError, DataQualityWarning
+from idstats.pipeline import run_stage
 
 CONFIG_YAML = """\
 input: data.csv
@@ -260,6 +263,45 @@ def test_worker_warnings_reach_the_caller_in_order(tmp_path):
     assert sum("class 'few' has only 4 rows" in m for m in runs[0]) == 1
 
 
+def _wy_config_with_small_classes(tmp_path: Path, classes: str, policy: str):
+    """The CLI dataset plus 'rare' (1 training row) and 'pair' (2), as a
+    RunConfig whose wy stage tests ``classes`` under ``policy``."""
+    write_dataset(tmp_path / "data.csv")
+    rng = np.random.default_rng(8)
+    with open(tmp_path / "data.csv", "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(
+            [*(f"{v:.6f}" for v in rng.normal(0.5, 1.0, 4)), "tcp", label]
+            for label, count in (("rare", 2), ("pair", 3))
+            for _ in range(count)
+        )
+    text = CONFIG_YAML.replace("classes: [attack, flood]", f"classes: {classes}")
+    doc = yaml.safe_load(text.replace("bandwidth: scott", f"bandwidth: {policy}"))
+    cfg = parse_config(doc, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataQualityWarning)
+        run_stage(cfg, "preprocess")
+    return cfg
+
+
+@pytest.mark.parametrize("policy", ["scott", "silverman", "cv"])
+def test_wy_rejects_a_one_row_class_under_every_policy(tmp_path, policy):
+    cfg = _wy_config_with_small_classes(tmp_path, "[rare, attack]", policy)
+    with pytest.raises(DataError, match="class 'rare' has 1 row"):
+        run_stage(cfg, "wy")
+    assert not (cfg.output / "fragments" / "wy.json").exists()
+
+
+def test_wy_cv_rejects_a_class_with_fewer_rows_than_folds(tmp_path):
+    cfg = _wy_config_with_small_classes(tmp_path, "[attack, pair]", "cv")
+    with pytest.raises(DataError, match=r"'pair' has 2 row\(s\); .* cv needs at least 3"):
+        run_stage(cfg, "wy")
+    (tmp_path / "scott").mkdir()
+    scott = _wy_config_with_small_classes(tmp_path / "scott", "[attack, pair]", "scott")
+    with pytest.warns(DataQualityWarning, match="class 'pair' has only 2 rows"):
+        run_stage(scott, "wy")
+    assert (scott.output / "fragments" / "wy.json").exists()
+
+
 def test_seed_override_changes_the_report(run_dir, capsys):
     rc = cli.main(
         ["preprocess", "--config", str(run_dir / "run.yaml"),
@@ -352,3 +394,46 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     rc = cli.main(["preprocess", "--config", str(tmp_path / "run.yaml")])
     assert rc == 2
     assert "preprocess" in capsys.readouterr().err
+
+
+def test_a_write_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch):
+    from idstats import pipeline, trees
+    from idstats.atomic import atomic_open
+
+    def failing_rows():
+        yield [2]
+        raise RuntimeError("writer died")
+
+    table = tmp_path / "table.csv"
+    pipeline._write_csv(table, ["a"], [[1]])
+    with pytest.raises(RuntimeError, match="writer died"):
+        pipeline._write_csv(table, ["a"], failing_rows())
+    assert table.read_bytes() == b"a\r\n1\r\n"
+
+    doc = tmp_path / "doc.json"
+    pipeline._write_json(doc, {"a": 1})
+    with pytest.raises(TypeError):
+        pipeline._write_json(doc, {"a": object()})
+    assert json.loads(doc.read_text(encoding="utf-8")) == {"a": 1}
+
+    model = tmp_path / "model.json"
+    X = np.arange(8.0).reshape(4, 2)
+    trees.save_model(trees.fit_majority(X, np.array([0, 1, 1, 1])), str(model))
+    saved = model.read_bytes()
+    # json.dump writes the first keys before it meets the bad value
+    monkeypatch.setattr(trees, "model_to_dict", lambda m: {"format": 1, "bad": object()})
+    with pytest.raises(TypeError):
+        trees.save_model(None, str(model))
+    assert model.read_bytes() == saved
+
+    arrays = tmp_path / "arrays.npz"
+    with atomic_open(arrays, "wb") as handle:
+        np.savez(handle, x=np.arange(3))
+    with pytest.raises(RuntimeError, match="writer died"):
+        with atomic_open(arrays, "wb") as handle:
+            handle.write(b"PK partial")
+            raise RuntimeError("writer died")
+    assert np.load(arrays)["x"].tolist() == [0, 1, 2]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "arrays.npz", "doc.json", "model.json", "table.csv",
+    ]

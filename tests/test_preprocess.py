@@ -254,3 +254,14 @@ def test_drop_correlated_relays_kendall_warnings_from_workers():
     assert len(kendall) == 3  # flat against each of the other three columns
     assert {d.name for d in runs[0][0][1]} <= {"x", "near"}
     assert len(runs[0][0][1]) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kendall_tau_b_matches_scipy_on_tied_data(seed):
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 6, size=400).astype(np.float64)
+    y = np.where(rng.random(400) < 0.3, x, rng.integers(0, 4, size=400)).astype(np.float64)
+    expected = stats.kendalltau(x, y, variant="b").statistic
+    assert kendall_tau_b(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert kendall_tau_b(x, -y) == pytest.approx(-expected, rel=1e-12, abs=1e-15)

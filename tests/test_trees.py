@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from idstats import trees
 from idstats.errors import DataError
 from idstats.trees import (
     ForestModel,
@@ -303,3 +304,269 @@ def test_derive_seed_is_deterministic_and_path_sensitive():
     assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
     assert derive_seed(0) != derive_seed(1)
     assert 0 <= derive_seed(123456789) < 2**32
+
+
+# --- the per-node-sort engine, kept as the oracle of the presorted one -----
+#
+# These are the split search and growers the presorted engine replaced: each
+# node argsorts every drawn feature, and a GBDT node makes two bincounts per
+# feature. The engine must grow bit-identical trees.
+
+
+def _reference_best_split(X, onehot, idx, features, min_leaf, parent_impurity):
+    n = idx.size
+    if n - min_leaf < min_leaf:
+        return None
+    best = None
+    total = onehot[idx].sum(axis=0)
+    for f in features:
+        v = X[idx, f]
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        cum = np.cumsum(onehot[idx[order]], axis=0)
+        s = np.arange(min_leaf, n - min_leaf + 1)
+        distinct = vs[s - 1] < vs[s]
+        if not np.any(distinct):
+            continue
+        s = s[distinct]
+        left = cum[s - 1]
+        right = total[None, :] - left
+        sizes = s.astype(np.float64)
+        gini_left = 1.0 - np.sum((left / sizes[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right / (n - sizes)[:, None]) ** 2, axis=1)
+        gain = parent_impurity - (sizes / n) * gini_left - ((n - sizes) / n) * gini_right
+        pick = int(np.argmax(gain))
+        if best is None or gain[pick] > best[0] + trees._GAIN_EPS:
+            threshold = 0.5 * (vs[s[pick] - 1] + vs[s[pick]])
+            best = (float(gain[pick]), int(f), float(threshold))
+    return best
+
+
+def _reference_grow_tree(X, y, n_classes, max_depth, min_leaf, feature_subset, rng):
+    n, p = X.shape
+    onehot = np.zeros((n, n_classes), dtype=np.float64)
+    onehot[np.arange(n), y] = 1.0
+    m = p if feature_subset is None else min(max(int(feature_subset), 1), p)
+
+    def node_for(idx):
+        counts = onehot[idx].sum(axis=0)
+        return trees.TreeNode(
+            n_samples=int(idx.size), impurity=gini(counts), distribution=counts / idx.size
+        )
+
+    root = node_for(np.arange(n))
+    root.n_features = p
+    stack = [(root, np.arange(n), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        if (
+            (max_depth is not None and depth >= max_depth)
+            or idx.size < 2 * min_leaf
+            or node.impurity <= 0.0
+        ):
+            continue
+        features = rng.choice(p, size=m, replace=False) if m < p else np.arange(p)
+        best = _reference_best_split(X, onehot, idx, features, min_leaf, node.impurity)
+        if best is None:
+            continue
+        _, node.feature, node.threshold = best
+        mask = X[idx, node.feature] <= node.threshold
+        node.left = node_for(idx[mask])
+        node.right = node_for(idx[~mask])
+        stack.append((node.right, idx[~mask], depth + 1))
+        stack.append((node.left, idx[mask], depth + 1))
+    return root
+
+
+def _reference_fit_hist_tree(
+    codes, edges, g, h, learning_rate, max_depth, lambda_reg, min_child_weight
+):
+    n, p = codes.shape
+    values = np.empty(n, dtype=np.float64)
+
+    def node_for(idx):
+        sum_g = float(g[idx].sum())
+        sum_h = float(h[idx].sum())
+        step = -learning_rate * sum_g / (sum_h + lambda_reg)
+        return trees._GbdtNode(n_samples=int(idx.size), value=step)
+
+    root = node_for(np.arange(n))
+    stack = [(root, np.arange(n), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        if (max_depth is not None and depth >= max_depth) or idx.size < 2:
+            values[idx] = node.value
+            continue
+        total_g = float(g[idx].sum())
+        total_h = float(h[idx].sum())
+        base_score = total_g * total_g / (total_h + lambda_reg)
+        best_gain = 0.0
+        best = None
+        for f in range(p):
+            nb = edges[f].size + 1
+            if nb < 2:
+                continue
+            hist_g = np.bincount(codes[idx, f], weights=g[idx], minlength=nb)
+            hist_h = np.bincount(codes[idx, f], weights=h[idx], minlength=nb)
+            cg = np.cumsum(hist_g)[:-1]
+            ch = np.cumsum(hist_h)[:-1]
+            valid = (ch >= min_child_weight) & (total_h - ch >= min_child_weight)
+            if not np.any(valid):
+                continue
+            gain = np.where(
+                valid,
+                cg * cg / (ch + lambda_reg)
+                + (total_g - cg) ** 2 / (total_h - ch + lambda_reg)
+                - base_score,
+                -np.inf,
+            )
+            pick = int(np.argmax(gain))
+            if gain[pick] > best_gain + trees._GAIN_EPS:
+                best_gain = float(gain[pick])
+                best = (f, pick)
+        if best is None:
+            values[idx] = node.value
+            continue
+        f, j = best
+        node.feature, node.bin_edge = f, j
+        node.threshold = float(edges[f][j])
+        node.gain = best_gain
+        mask = codes[idx, f] <= j
+        node.left = node_for(idx[mask])
+        node.right = node_for(idx[~mask])
+        stack.append((node.right, idx[~mask], depth + 1))
+        stack.append((node.left, idx[mask], depth + 1))
+    return root, values
+
+
+def _reference_forest(X, y, n_trees, max_depth, min_leaf, max_features, bootstrap, seed):
+    n, p = X.shape
+    n_classes = int(y.max()) + 1
+    m = {"sqrt": int(math.ceil(math.sqrt(p))), None: p}.get(max_features, max_features)
+    grown = []
+    for i in range(n_trees):
+        rng = np.random.default_rng([seed, i])
+        sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        tree = _reference_grow_tree(
+            X[sample], y[sample], n_classes, max_depth, min_leaf,
+            m if m < p else None, rng,
+        )
+        tree.n_features = p
+        grown.append(tree)
+    return ForestModel(grown, n_classes, p, m, bootstrap, seed)
+
+
+def _reference_gbdt(monkeypatch, X, y, **params):
+    """fit_gbdt with every tree grown by the reference on (n, p) raw codes."""
+    edges = [trees._quantile_bin_edges(X[:, f], params["n_bins"]) for f in range(X.shape[1])]
+    codes = np.empty(X.shape, dtype=np.int32)
+    for f, e in enumerate(edges):
+        codes[:, f] = np.searchsorted(e, X[:, f], side="left")
+
+    def grow(_codes, _edges, g, h, *rest):
+        return _reference_fit_hist_tree(codes, edges, g, h, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(trees, "_fit_hist_tree", grow)
+        return fit_gbdt(X, y, **params)
+
+
+def _oracle_data(n=240, p=7, n_classes=3, seed=0):
+    """Gaussian classes plus an integer column with heavy ties."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, n_classes, size=n)
+    X = rng.normal(0.0, 1.0, (n, p)) + 0.8 * y[:, None] * rng.random(p)
+    X[:, 1] = rng.integers(0, 4, size=n) + (y == 1)
+    return X, y
+
+
+def _assert_same_model(model, reference, X):
+    assert model_to_dict(model) == model_to_dict(reference)
+    a, b = predict_proba(model, X), predict_proba(reference, X)
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "data, params",
+    [
+        # bootstrap forest, √p features per split, depth 8
+        (dict(), dict(max_depth=8, min_leaf=1, max_features="sqrt")),
+        # from 8 classes on, np.sum adds the Gini terms pairwise
+        (dict(seed=1, n_classes=9, n=400), dict(max_depth=8, min_leaf=1, max_features="sqrt")),
+        (dict(seed=2), dict(max_depth=6, min_leaf=5, max_features=None)),
+        (dict(seed=3), dict(max_depth=None, min_leaf=1, max_features=3)),
+        (dict(seed=4, n_classes=5), dict(max_depth=0, min_leaf=1, max_features="sqrt")),
+    ],
+)
+@pytest.mark.parametrize("bootstrap", [True, False])
+def test_forest_equals_the_per_node_sort_reference(data, params, bootstrap):
+    X, y = _oracle_data(**data)
+    forest = fit_forest(X, y, n_trees=4, bootstrap=bootstrap, seed=5, **params)
+    reference = _reference_forest(X, y, 4, bootstrap=bootstrap, seed=5, **params)
+    _assert_same_model(forest, reference, X)
+
+
+@pytest.mark.parametrize("cells", [1, 2000])
+def test_split_search_blocks_do_not_change_the_forest(monkeypatch, cells):
+    X, y = _oracle_data(seed=11)
+    params = dict(max_depth=None, min_leaf=2, max_features=None)
+    monkeypatch.setattr(trees, "_BLOCK_CELLS", cells)  # 1 feature a block; 4 at the root
+    forest = fit_forest(X, y, n_trees=3, seed=4, **params)
+    reference = _reference_forest(X, y, 3, bootstrap=True, seed=4, **params)
+    _assert_same_model(forest, reference, X)
+
+
+def test_forest_on_integer_ties_and_a_constant_column_equals_the_reference():
+    rng = np.random.default_rng(6)
+    y = rng.integers(0, 4, size=300)
+    X = np.column_stack([
+        rng.integers(0, 3, size=300) + (y > 1),
+        rng.integers(0, 2, size=300),
+        np.full(300, 7.0),
+        rng.poisson(2.0 + y),
+    ]).astype(np.float64)
+    for min_leaf in (1, 4):
+        for max_features in (2, None):
+            params = dict(max_depth=None, min_leaf=min_leaf, max_features=max_features)
+            forest = fit_forest(X, y, n_trees=3, seed=8, **params)
+            reference = _reference_forest(X, y, 3, bootstrap=True, seed=8, **params)
+            _assert_same_model(forest, reference, X)
+
+
+@pytest.mark.parametrize("feature_subset, max_depth", [(3, None), (2, 4), (None, 5)])
+def test_fit_tree_equals_the_reference(feature_subset, max_depth):
+    X, y = _oracle_data(seed=9)
+    tree = fit_tree(X, y, max_depth=max_depth, feature_subset=feature_subset, seed=3)
+    reference = _reference_grow_tree(
+        X, y, 3, max_depth, 1, feature_subset, np.random.default_rng(3)
+    )
+    _assert_same_model(tree, reference, X)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(n_bins=16, max_depth=4),
+        dict(n_bins=255, max_depth=12, min_child_weight=0.0),
+        dict(n_bins=32, max_depth=3, lambda_reg=0.5),
+    ],
+)
+def test_gbdt_equals_the_per_feature_histogram_reference(monkeypatch, params):
+    X, y = _oracle_data(n=300, seed=10, n_classes=4)
+    # a rare flag: at 16 bins one edge, so two bins and one candidate cut
+    X[:, 2] = 0.0
+    X[np.flatnonzero(y == 3)[:12], 2] = 1.0
+    X[:, 3] = 1.0  # constant: every row in the lower of two bins
+    X[:, 5] = -X[:, 0]  # mirrored: equal gains up to rounding
+    params = dict(rounds=4, learning_rate=0.3, seed=0) | params
+    model = fit_gbdt(X, y, **params)
+    reference = _reference_gbdt(monkeypatch, X, y, **params)
+    _assert_same_model(model, reference, X)
+
+
+def test_models_without_features_equal_the_reference(monkeypatch):
+    X, y = np.empty((6, 0)), np.array([0, 1, 0, 1, 1, 2])
+    forest = fit_forest(X, y, n_trees=2, seed=1)
+    _assert_same_model(forest, _reference_forest(X, y, 2, None, 1, "sqrt", True, 1), X)
+    params = dict(rounds=2, n_bins=16)
+    _assert_same_model(fit_gbdt(X, y, **params), _reference_gbdt(monkeypatch, X, y, **params), X)
