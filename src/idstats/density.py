@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -338,20 +339,18 @@ class EvalGrid:
 
 
 def make_grid(
-    samples_a: np.ndarray,
-    samples_b: np.ndarray,
-    h_a: float,
-    h_b: float,
-    n_points: int = DEFAULT_GRID_SIZE,
+    samples: Sequence[np.ndarray], bandwidth: float, n_points: int = DEFAULT_GRID_SIZE
 ) -> EvalGrid:
-    """Shared uniform grid covering both samples, padded by 5 * max(h_a, h_b)."""
-    samples_a = np.asarray(samples_a, dtype=np.float64)
-    samples_b = np.asarray(samples_b, dtype=np.float64)
-    if samples_a.size == 0 or samples_b.size == 0:
-        raise DataError("make_grid needs two non-empty sample sets")
-    pad = GRID_PAD_BANDWIDTHS * max(h_a, h_b)
-    lo = min(float(samples_a.min()), float(samples_b.min())) - pad
-    hi = max(float(samples_a.max()), float(samples_b.max())) + pad
+    """Shared uniform grid covering every sample, padded by 5 * bandwidth.
+
+    Pass the largest bandwidth of the densities the grid will carry.
+    """
+    samples = [np.asarray(s, dtype=np.float64) for s in samples]
+    if not samples or any(s.size == 0 for s in samples):
+        raise DataError("make_grid needs non-empty sample sets")
+    pad = GRID_PAD_BANDWIDTHS * bandwidth
+    lo = min(float(s.min()) for s in samples) - pad
+    hi = max(float(s.max()) for s in samples) + pad
     return EvalGrid(points=np.linspace(lo, hi, n_points))
 
 
@@ -486,11 +485,7 @@ def shape_summary(
     if not per_class:
         raise DataError(f"shape_summary: no class has rows for {feature!r}")
 
-    h_max = max(h for _, _, h in per_class)
-    pad = GRID_PAD_BANDWIDTHS * h_max
-    grid = EvalGrid(
-        points=np.linspace(float(x_all.min()) - pad, float(x_all.max()) + pad, n_points)
-    )
+    grid = make_grid([x_all], max(h for _, _, h in per_class), n_points)
     shapes = []
     for name, x, h in per_class:
         model = KdeModel(samples=x, bandwidth=h, policy=policy)

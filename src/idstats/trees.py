@@ -15,7 +15,7 @@ from .errors import DataError
 from .parallel import ordered_map
 
 MODEL_FORMAT = "idstats-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 # Gains this small are floating-point noise, not structure.
 _GAIN_EPS = 1e-12
@@ -55,23 +55,61 @@ def _check_xy(X: np.ndarray, y: np.ndarray, n_classes: int | None) -> tuple:
 
 
 @dataclass
-class TreeNode:
-    """CART node. Internal nodes route x[feature] <= threshold to the left;
-    every node carries its class distribution so any node can serve as a leaf.
+class Tree:
+    """One grown tree as parallel node arrays; node 0 is the root.
+
+    Node i is a leaf when feature[i] == -1. An inner node routes rows with
+    x[feature] <= threshold to left[i] and the rest to right[i]; children
+    always have larger ids than their parent. ``value`` holds one row per
+    node: the class distribution for CART (so any node can serve as a leaf),
+    one column with the shrunk leaf step for GBDT. ``gain`` is what the
+    split adds to the importances: the weighted impurity decrease over the
+    root's size for CART, the split gain for GBDT; 0 at a leaf.
     """
 
-    n_samples: int
-    impurity: float
-    distribution: np.ndarray
-    feature: int = -1
-    threshold: float = 0.0
-    left: TreeNode | None = None
-    right: TreeNode | None = None
-    n_features: int = -1  # set on the root only
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    n_samples: np.ndarray
+    value: np.ndarray
+    gain: np.ndarray
+    n_features: int
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+
+# The node arrays of a Tree and their dtypes, in the order of a node's fields.
+_NODE_ARRAYS = {
+    "feature": np.intp,
+    "threshold": np.float64,
+    "left": np.intp,
+    "right": np.intp,
+    "n_samples": np.int64,
+    "value": np.float64,
+    "gain": np.float64,
+}
+
+
+class _Nodes(list):
+    """A grower's nodes in id order, each [feature, threshold, left, right,
+    n_samples, value, gain]; ``add`` appends a leaf and returns its id."""
+
+    def add(self, n_samples: int, value) -> int:
+        self.append([-1, 0.0, -1, -1, n_samples, value, 0.0])
+        return len(self) - 1
+
+    def split(
+        self, i: int, feature: int, threshold: float, left: int, right: int, gain: float
+    ) -> None:
+        self[i][:4] = feature, threshold, left, right
+        self[i][6] = gain
+
+    def tree(self, n_features: int) -> Tree:
+        arrays = {
+            name: np.array(column, dtype=dtype)
+            for (name, dtype), column in zip(_NODE_ARRAYS.items(), zip(*self))
+        }
+        arrays["value"] = arrays["value"].reshape(len(self), -1)
+        return Tree(**arrays, n_features=n_features)
 
 
 # Split-search temporaries hold at most this many class × row cells.
@@ -154,7 +192,7 @@ def fit_tree(
     feature_subset: int | None = None,
     seed: int = 0,
     n_classes: int | None = None,
-) -> TreeNode:
+) -> Tree:
     """Greedy CART classifier on Gini gain with midpoint split candidates.
 
     A node becomes a leaf when it is pure, too small, at max depth, or has no
@@ -175,7 +213,7 @@ def fit_tree(
         n_classes: class count; default max(y) + 1.
 
     Returns:
-        Root TreeNode with n_features set.
+        The Tree; ``value`` holds each node's class distribution.
     """
     X, y, n_classes = _check_xy(X, y, n_classes)
     rng = np.random.default_rng(seed)
@@ -195,82 +233,85 @@ def _grow_tree(
     min_leaf: int,
     feature_subset: int | None,
     rng: np.random.Generator,
-) -> TreeNode:
+) -> Tree:
     """CART on the sample that holds row r of X weight[r] times.
 
     ``order`` lists every row id of X sorted per feature (p × N). A node keeps
     its distinct rows in that order, and a split partitions all p lists with
     one mask, so no node sorts. The tree is the one grown on the expanded
     sample by sorting at every node, since a node depends only on which rows
-    reach it and how often.
+    reach it and how often. Nodes are grown depth-first, left before right,
+    and a split appends both children to the arrays.
     """
     p = X.shape[1]
     if min_leaf < 1:
         raise DataError("min_leaf must be >= 1")
     m = p if feature_subset is None else min(max(int(feature_subset), 1), p)
     goes_left = np.zeros(X.shape[0], dtype=bool)
+    nodes = _Nodes()
 
-    def node_for(rows: np.ndarray, counts=None) -> tuple[TreeNode, np.ndarray, np.ndarray]:
+    def node_for(rows: np.ndarray, counts=None) -> tuple:
+        """(id, rows, class counts, size, impurity) of a new leaf."""
         if counts is None:
             counts = np.bincount(y[rows[0]], weights=weight[rows[0]], minlength=n_classes)
         size = int(counts.sum())
         shares = counts / size
         impurity = float(1.0 - np.dot(shares, shares))  # gini(counts)
-        return TreeNode(size, impurity, shares), rows, counts
+        return nodes.add(size, shares), rows, counts, size, impurity
 
     rows = order[(weight > 0)[order]].reshape(p, np.count_nonzero(weight))
-    root, rows, counts = node_for(rows, np.bincount(y, weights=weight, minlength=n_classes))
-    root.n_features = p
+    root = node_for(rows, np.bincount(y, weights=weight, minlength=n_classes))
+    n_root = root[3]
     # depth-first, left before right, so RNG consumption is deterministic
-    stack: list[tuple[TreeNode, np.ndarray, np.ndarray, int]] = [(root, rows, counts, 0)]
+    stack = [(*root, 0)]
     while stack:
-        node, rows, counts, depth = stack.pop()
+        i, rows, counts, size, impurity, depth = stack.pop()
         if (
             (max_depth is not None and depth >= max_depth)
-            or node.n_samples < 2 * min_leaf
-            or node.impurity <= 0.0
+            or size < 2 * min_leaf
+            or impurity <= 0.0
         ):
             continue
         features = rng.choice(p, size=m, replace=False) if m < p else np.arange(p)
-        best = _best_split(
-            X, y, weight, rows, features, min_leaf, node.n_samples,
-            node.impurity, counts,
-        )
+        best = _best_split(X, y, weight, rows, features, min_leaf, size, impurity, counts)
         if best is None:
             continue
-        _, node.feature, node.threshold = best
-        by_feature = rows[node.feature]
-        goes_left[by_feature] = X[by_feature, node.feature] <= node.threshold
+        _, f, threshold = best
+        by_feature = rows[f]
+        goes_left[by_feature] = X[by_feature, f] <= threshold
         mask = goes_left[rows]
         left = node_for(rows[mask].reshape(p, -1))
         right = node_for(rows[~mask].reshape(p, -1))
-        node.left, node.right = left[0], right[0]
+        (_, _, _, n_left, impurity_left), (_, _, _, n_right, impurity_right) = left, right
+        # the impurity decrease, weighted by the node's share of the root's rows
+        decrease = (
+            size * impurity - n_left * impurity_left - n_right * impurity_right
+        ) / n_root
+        nodes.split(i, f, threshold, left[0], right[0], decrease)
         stack.append((*right, depth + 1))
         stack.append((*left, depth + 1))
-    return root
+    return nodes.tree(p)
 
 
-def _tree_proba(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty((X.shape[0], root.distribution.size), dtype=np.float64)
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.distribution
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
+def _leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf id of every row of X, all rows stepping down one level at a time."""
+    cells, p = X.ravel(), X.shape[1]
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    active = np.flatnonzero(tree.feature[node] >= 0)
+    while active.size:
+        at = node[active]
+        goes_left = cells[active * p + tree.feature[at]] <= tree.threshold[at]
+        at = np.where(goes_left, tree.left[at], tree.right[at])
+        node[active] = at
+        active = active[tree.feature[at] >= 0]
+    return node
 
 
 @dataclass
 class ForestModel:
     """Bagged CART ensemble; predictions average the trees' leaf distributions."""
 
-    trees: list[TreeNode]
+    trees: list[Tree]
     n_classes: int
     n_features: int
     max_features: int
@@ -278,7 +319,7 @@ class ForestModel:
     seed: int
 
 
-def _forest_tree(shared: tuple, i: int) -> TreeNode:
+def _forest_tree(shared: tuple, i: int) -> Tree:
     """Tree i of a forest: its bootstrap and feature draws come from (seed, i)."""
     X, y, order, n_classes, max_depth, min_leaf, m, bootstrap, seed = shared
     n, p = X.shape
@@ -286,11 +327,9 @@ def _forest_tree(shared: tuple, i: int) -> TreeNode:
     drawn = np.ones(n)
     if bootstrap:
         drawn = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-    tree = _grow_tree(
+    return _grow_tree(
         X, y, drawn, order, n_classes, max_depth, min_leaf, m if m < p else None, rng
     )
-    tree.n_features = p
-    return tree
 
 
 def fit_forest(
@@ -353,28 +392,10 @@ def fit_majority(
 
 
 @dataclass
-class _GbdtNode:
-    """Regression-tree node over binned features; value is the shrunk leaf step."""
-
-    n_samples: int
-    value: float
-    feature: int = -1
-    bin_edge: int = -1
-    threshold: float = 0.0
-    gain: float = 0.0
-    left: _GbdtNode | None = None
-    right: _GbdtNode | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
-@dataclass
 class GbdtModel:
     """Gradient-boosted trees: rounds × classes regression trees on histograms."""
 
-    trees: list[list[_GbdtNode]]
+    trees: list[list[Tree]]
     init_scores: np.ndarray
     learning_rate: float
     bin_edges: list[np.ndarray]
@@ -424,15 +445,17 @@ def _fit_hist_tree(
     max_depth: int | None,
     lambda_reg: float,
     min_child_weight: float,
-) -> tuple[_GbdtNode, np.ndarray]:
+) -> tuple[Tree, np.ndarray]:
     """One Newton regression tree on gradient/hessian histograms.
 
     ``codes`` (n × p) offsets feature f's bin codes by f·NB, NB the widest
     bin count, so one weighted bincount per statistic makes a node's
     histograms of all features; each bin still adds its rows in row order,
-    so the sums are those of per-feature bincounts to the last bit. Returns
-    the tree and the per-sample leaf values (already shrunk by the learning
-    rate), so training can update scores without re-routing.
+    so the sums are those of per-feature bincounts to the last bit. Nodes
+    are grown depth-first, left before right, and a split appends both
+    children to the arrays. Returns the tree and the per-sample leaf values
+    (already shrunk by the learning rate), so training can update scores
+    without re-routing.
     """
     n, p = codes.shape
     n_cuts = np.array([e.size for e in edges], dtype=np.intp)
@@ -440,19 +463,19 @@ def _fit_hist_tree(
     # cut j of feature f is a candidate only where f has more than j + 1 bins
     cuttable = np.arange(width - 1) < n_cuts[:, None]
     values = np.empty(n, dtype=np.float64)
+    nodes = _Nodes()
 
-    def node_for(idx: np.ndarray) -> tuple[_GbdtNode, np.ndarray, float, float]:
+    def node_for(idx: np.ndarray) -> tuple[int, np.ndarray, float, float, float]:
         sum_g = float(g[idx].sum())
         sum_h = float(h[idx].sum())
         step = -learning_rate * sum_g / (sum_h + lambda_reg)
-        return _GbdtNode(n_samples=int(idx.size), value=step), idx, sum_g, sum_h
+        return nodes.add(int(idx.size), step), idx, sum_g, sum_h, step
 
     stack = [(*node_for(np.arange(n)), 0)]
-    root = stack[0][0]
     while stack:
-        node, idx, total_g, total_h, depth = stack.pop()
+        i, idx, total_g, total_h, step, depth = stack.pop()
         if (max_depth is not None and depth >= max_depth) or idx.size < 2 or width < 2:
-            values[idx] = node.value
+            values[idx] = step
             continue
         base_score = total_g * total_g / (total_h + lambda_reg)
         node_codes = codes.take(idx, axis=0)
@@ -476,18 +499,15 @@ def _fit_hist_tree(
                 best_gain = float(gain[f, pick])
                 best = (f, int(pick))
         if best is None:
-            values[idx] = node.value
+            values[idx] = step
             continue
         f, j = best
-        node.feature, node.bin_edge = f, j
-        node.threshold = float(edges[f][j])
-        node.gain = best_gain
         mask = node_codes[:, f] <= f * width + j
         left, right = node_for(idx[mask]), node_for(idx[~mask])
-        node.left, node.right = left[0], right[0]
+        nodes.split(i, f, float(edges[f][j]), left[0], right[0], best_gain)
         stack.append((*right, depth + 1))
         stack.append((*left, depth + 1))
-    return root, values
+    return nodes.tree(p), values
 
 
 def fit_gbdt(
@@ -538,14 +558,14 @@ def fit_gbdt(
     onehot = np.zeros((n, n_classes), dtype=np.float64)
     onehot[np.arange(n), y] = 1.0
 
-    trees: list[list[_GbdtNode]] = []
+    trees: list[list[Tree]] = []
     losses: list[float] = []
     for _ in range(rounds):
         proba = _softmax(scores)
         losses.append(_log_loss(proba, y))
         grad = proba - onehot
         hess = proba * (1.0 - proba)
-        round_trees: list[_GbdtNode] = []
+        round_trees: list[Tree] = []
         for k in range(n_classes):
             tree, leaf_values = _fit_hist_tree(
                 codes, edges, grad[:, k], hess[:, k],
@@ -567,24 +587,13 @@ def fit_gbdt(
     )
 
 
-def _gbdt_tree_values(root: _GbdtNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack: list[tuple[_GbdtNode, np.ndarray]] = [(root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        mask = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
-    return out
-
-
 def predict_proba(model, X: np.ndarray) -> np.ndarray:
-    """Class-probability matrix (rows sum to 1) for any fitted family."""
+    """Class-probability matrix (rows sum to 1) for any fitted family.
+
+    Every tree routes the rows to their leaves with one descent (``_leaves``);
+    a CART or forest averages the leaves' class distributions, a GBDT adds
+    the leaves' steps to the init scores and takes the softmax.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DataError("X must be a 2-D matrix")
@@ -593,18 +602,18 @@ def predict_proba(model, X: np.ndarray) -> np.ndarray:
         raise DataError(
             f"feature count mismatch: model expects {expected}, got {X.shape[1]}"
         )
-    if isinstance(model, TreeNode):
-        return _tree_proba(model, X)
+    if isinstance(model, Tree):
+        return model.value[_leaves(model, X)]
     if isinstance(model, ForestModel):
         acc = np.zeros((X.shape[0], model.n_classes), dtype=np.float64)
         for tree in model.trees:
-            acc += _tree_proba(tree, X)
+            acc += tree.value[_leaves(tree, X)]
         return acc / len(model.trees)
     if isinstance(model, GbdtModel):
         scores = np.tile(model.init_scores, (X.shape[0], 1))
         for round_trees in model.trees:
             for k, tree in enumerate(round_trees):
-                scores[:, k] += _gbdt_tree_values(tree, X)
+                scores[:, k] += tree.value[_leaves(tree, X), 0]
         return _softmax(scores)
     if isinstance(model, MajorityModel):
         return np.tile(model.distribution, (X.shape[0], 1))
@@ -615,51 +624,32 @@ def predict_labels(model, X: np.ndarray) -> np.ndarray:
     return np.argmax(predict_proba(model, X), axis=1)
 
 
-def _tree_impurity_decrease(root: TreeNode, out: np.ndarray) -> None:
-    n_root = root.n_samples
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        decrease = (
-            node.n_samples * node.impurity
-            - node.left.n_samples * node.left.impurity
-            - node.right.n_samples * node.right.impurity
-        ) / n_root
-        out[node.feature] += decrease
-        stack.append(node.left)
-        stack.append(node.right)
-
-
-def _gbdt_gain_sum(model: GbdtModel, out: np.ndarray) -> None:
-    for round_trees in model.trees:
-        for root in round_trees:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    continue
-                out[node.feature] += node.gain
-                stack.append(node.left)
-                stack.append(node.right)
-
-
 def impurity_importance(model) -> np.ndarray:
     """Per-feature impurity (trees/forest) or split-gain (GBDT) reduction,
-    normalized to sum 1; all-zero when the model contains no split."""
-    if isinstance(model, TreeNode):
-        out = np.zeros(model.n_features, dtype=np.float64)
-        _tree_impurity_decrease(model, out)
+    normalized to sum 1; all-zero when the model contains no split.
+
+    Each tree's split gains are added in pre-order, right subtree first, and
+    the trees in model order, so the sums are reproducible to the last bit.
+    """
+    if isinstance(model, Tree):
+        grown = [model]
     elif isinstance(model, ForestModel):
-        out = np.zeros(model.n_features, dtype=np.float64)
-        for tree in model.trees:
-            _tree_impurity_decrease(tree, out)
+        grown = model.trees
     elif isinstance(model, GbdtModel):
-        out = np.zeros(model.n_features, dtype=np.float64)
-        _gbdt_gain_sum(model, out)
+        grown = [tree for round_trees in model.trees for tree in round_trees]
     else:
         raise DataError(f"unknown model type {type(model).__name__}")
+    out = np.zeros(model.n_features, dtype=np.float64)
+    for tree in grown:
+        feature, left, right, gain = (
+            a.tolist() for a in (tree.feature, tree.left, tree.right, tree.gain)
+        )
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            if feature[i] >= 0:
+                out[feature[i]] += gain[i]
+                stack += (left[i], right[i])
     total = out.sum()
     return out / total if total > 0 else out
 
@@ -783,68 +773,40 @@ def rfe(
         current = [c for j, c in enumerate(current) if j not in set(drop_local)]
 
 
-def _tree_to_dict(node: TreeNode) -> dict:
-    out: dict = {
-        "n": node.n_samples,
-        "impurity": node.impurity,
-        "dist": node.distribution.tolist(),
-    }
-    if not node.is_leaf:
-        out["feature"] = node.feature
-        out["threshold"] = node.threshold
-        out["left"] = _tree_to_dict(node.left)
-        out["right"] = _tree_to_dict(node.right)
-    return out
+def _tree_to_dict(tree: Tree) -> dict:
+    return {name: getattr(tree, name).tolist() for name in _NODE_ARRAYS}
 
 
-def _tree_from_dict(data: dict) -> TreeNode:
-    node = TreeNode(
-        n_samples=int(data["n"]),
-        impurity=float(data["impurity"]),
-        distribution=np.asarray(data["dist"], dtype=np.float64),
-    )
-    if "feature" in data:
-        node.feature = int(data["feature"])
-        node.threshold = float(data["threshold"])
-        node.left = _tree_from_dict(data["left"])
-        node.right = _tree_from_dict(data["right"])
-    return node
-
-
-def _gbdt_node_to_dict(node: _GbdtNode) -> dict:
-    out: dict = {"n": node.n_samples, "value": node.value}
-    if not node.is_leaf:
-        out.update(
-            feature=node.feature,
-            bin_edge=node.bin_edge,
-            threshold=node.threshold,
-            gain=node.gain,
-            left=_gbdt_node_to_dict(node.left),
-            right=_gbdt_node_to_dict(node.right),
-        )
-    return out
-
-
-def _gbdt_node_from_dict(data: dict) -> _GbdtNode:
-    node = _GbdtNode(n_samples=int(data["n"]), value=float(data["value"]))
-    if "feature" in data:
-        node.feature = int(data["feature"])
-        node.bin_edge = int(data["bin_edge"])
-        node.threshold = float(data["threshold"])
-        node.gain = float(data["gain"])
-        node.left = _gbdt_node_from_dict(data["left"])
-        node.right = _gbdt_node_from_dict(data["right"])
-    return node
+def _tree_from_dict(data: dict, n_features: int, width: int) -> Tree:
+    """Tree from its node lists, checked so that every descent ends at a leaf."""
+    try:
+        arrays = {name: np.asarray(data[name], dtype=t) for name, t in _NODE_ARRAYS.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed tree node arrays: {exc}") from None
+    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
+    n = feature.shape[0] if feature.ndim == 1 else 0
+    if n == 0 or any(a.shape != (n,) for k, a in arrays.items() if k != "value"):
+        raise DataError("tree node arrays must be non-empty and of one length")
+    if arrays["value"].shape != (n, width):
+        raise DataError(f"tree value rows must have {width} entries")
+    if np.any((feature < -1) | (feature >= n_features)):
+        raise DataError(f"tree feature ids must lie in [-1, {n_features})")
+    inner = np.flatnonzero(feature >= 0)
+    for child in (left[inner], right[inner]):
+        if np.any((child <= inner) | (child >= n)):
+            raise DataError("tree children must have larger ids than their parent")
+    return Tree(**arrays, n_features=n_features)
 
 
 def model_to_dict(model) -> dict:
     """Self-describing JSON form with a format/version tag."""
     head = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
-    if isinstance(model, TreeNode):
+    if isinstance(model, Tree):
         return head | {
             "family": "tree",
+            "n_classes": model.value.shape[1],
             "n_features": model.n_features,
-            "root": _tree_to_dict(model),
+            "tree": _tree_to_dict(model),
         }
     if isinstance(model, ForestModel):
         return head | {
@@ -866,7 +828,7 @@ def model_to_dict(model) -> dict:
             "bin_edges": [e.tolist() for e in model.bin_edges],
             "train_loss": model.train_loss,
             "seed": model.seed,
-            "trees": [[_gbdt_node_to_dict(t) for t in row] for row in model.trees],
+            "trees": [[_tree_to_dict(t) for t in row] for row in model.trees],
         }
     if isinstance(model, MajorityModel):
         return head | {
@@ -881,32 +843,32 @@ def model_from_dict(data: dict):
     if data.get("format") != MODEL_FORMAT:
         raise DataError("not a recognized model document")
     if data.get("version") != MODEL_VERSION:
-        raise DataError(f"unsupported model version {data.get('version')!r}")
+        raise DataError(
+            f"unsupported model version {data.get('version')!r}; this build reads "
+            f"version {MODEL_VERSION} only, so rerun cv to rewrite the model"
+        )
     family = data.get("family")
     if family == "tree":
-        root = _tree_from_dict(data["root"])
-        root.n_features = int(data["n_features"])
-        return root
+        return _tree_from_dict(data["tree"], int(data["n_features"]), int(data["n_classes"]))
     if family == "forest":
-        trees = [_tree_from_dict(t) for t in data["trees"]]
-        for t in trees:
-            t.n_features = int(data["n_features"])
+        p, n_classes = int(data["n_features"]), int(data["n_classes"])
         return ForestModel(
-            trees=trees,
-            n_classes=int(data["n_classes"]),
-            n_features=int(data["n_features"]),
+            trees=[_tree_from_dict(t, p, n_classes) for t in data["trees"]],
+            n_classes=n_classes,
+            n_features=p,
             max_features=int(data["max_features"]),
             bootstrap=bool(data["bootstrap"]),
             seed=int(data["seed"]),
         )
     if family == "gbdt":
+        p = int(data["n_features"])
         return GbdtModel(
-            trees=[[_gbdt_node_from_dict(t) for t in row] for row in data["trees"]],
+            trees=[[_tree_from_dict(t, p, 1) for t in row] for row in data["trees"]],
             init_scores=np.asarray(data["init_scores"], dtype=np.float64),
             learning_rate=float(data["learning_rate"]),
             bin_edges=[np.asarray(e, dtype=np.float64) for e in data["bin_edges"]],
             n_classes=int(data["n_classes"]),
-            n_features=int(data["n_features"]),
+            n_features=p,
             train_loss=[float(v) for v in data["train_loss"]],
             seed=int(data["seed"]),
         )

@@ -148,7 +148,7 @@ def _pair_statistic(
         else:
             h_a = bandwidth_for(xa, cfg.bandwidth_policy)
             h_b = bandwidth_for(xb, cfg.bandwidth_policy)
-    grid = make_grid(xa, xb, h_a, h_b, cfg.grid_size)
+    grid = make_grid([xa, xb], max(h_a, h_b), cfg.grid_size)
     pair = to_mass_pair(
         KdeModel(samples=xa, bandwidth=h_a, policy=cfg.bandwidth_policy),
         KdeModel(samples=xb, bandwidth=h_b, policy=cfg.bandwidth_policy),

@@ -245,19 +245,19 @@ def test_fit_kde_validates():
 
 
 def test_make_grid_pads_by_five_bandwidths():
-    grid = make_grid(np.array([0.0, 1.0]), np.array([2.0, 3.0]), 0.5, 0.5, 8)
+    grid = make_grid([np.array([0.0, 1.0]), np.array([2.0, 3.0])], 0.5, 8)
     assert grid.size == 8
     assert grid.points[0] == pytest.approx(-2.5)
     assert grid.points[-1] == pytest.approx(5.5)
     assert grid.spacing == pytest.approx(8.0 / 7)
     with pytest.raises(DataError):
-        make_grid(np.array([]), np.array([1.0]), 0.1, 0.1)
+        make_grid([np.array([]), np.array([1.0])], 0.1)
 
 
 def test_to_mass_pair_renormalizes():
     a = fit_kde(np.random.default_rng(1).normal(0, 1, 100), policy="scott")
     b = fit_kde(np.random.default_rng(2).normal(4, 1, 100), policy="scott")
-    grid = make_grid(a.samples, b.samples, a.bandwidth, b.bandwidth, 256)
+    grid = make_grid([a.samples, b.samples], max(a.bandwidth, b.bandwidth), 256)
     pair = to_mass_pair(a, b, grid)
     assert float(pair.p.sum()) == pytest.approx(1.0)
     assert float(pair.q.sum()) == pytest.approx(1.0)
@@ -305,7 +305,7 @@ def test_js_distance_shrinks_as_separation_shrinks():
     for shift in (3.0, 1.5, 0.5, 0.0):
         a = fit_kde(base, policy="scott")
         b = fit_kde(base + shift, policy="scott")
-        grid = make_grid(a.samples, b.samples, a.bandwidth, b.bandwidth)
+        grid = make_grid([a.samples, b.samples], max(a.bandwidth, b.bandwidth))
         d = js_distance(to_mass_pair(a, b, grid))
         assert d < last + 1e-12
         last = d

@@ -54,8 +54,8 @@ def test_pure_input_yields_single_leaf():
     X = np.arange(12.0).reshape(6, 2)
     y = np.ones(6, dtype=np.int64)
     tree = fit_tree(X, y, n_classes=2)
-    assert tree.is_leaf
-    assert tree.distribution.tolist() == [0.0, 1.0]
+    assert tree.feature.tolist() == [-1]
+    assert tree.value.tolist() == [[0.0, 1.0]]
 
 
 def test_xor_separates_at_depth_two():
@@ -72,7 +72,7 @@ def test_split_threshold_is_midpoint_and_right_edge_goes_left():
     X = np.array([[0.0], [1.0]])
     y = np.array([0, 1])
     tree = fit_tree(X, y)
-    assert tree.threshold == pytest.approx(0.5)
+    assert tree.threshold[0] == pytest.approx(0.5)
     # x <= threshold routes left
     proba = predict_proba(tree, np.array([[0.5], [0.500001]]))
     assert proba[0].tolist() == [1.0, 0.0]
@@ -82,15 +82,13 @@ def test_split_threshold_is_midpoint_and_right_edge_goes_left():
 def test_max_depth_and_min_leaf_are_respected():
     X, y = two_blobs(seed=1)
 
-    def depth_of(node):
-        if node.is_leaf:
+    def depth_of(tree, i=0):
+        if tree.feature[i] < 0:
             return 0
-        return 1 + max(depth_of(node.left), depth_of(node.right))
+        return 1 + max(depth_of(tree, tree.left[i]), depth_of(tree, tree.right[i]))
 
-    def min_leaf_size(node):
-        if node.is_leaf:
-            return node.n_samples
-        return min(min_leaf_size(node.left), min_leaf_size(node.right))
+    def min_leaf_size(tree):
+        return int(tree.n_samples[tree.feature < 0].min())
 
     assert depth_of(fit_tree(X, y, max_depth=3)) <= 3
     assert min_leaf_size(fit_tree(X, y, min_leaf=20)) >= 20
@@ -282,14 +280,13 @@ def test_serialization_round_trip_preserves_predictions(tmp_path):
     for model in models:
         doc = model_to_dict(model)
         assert doc["format"] == "idstats-model"
-        assert doc["version"] == 1
-        clone = model_from_dict(doc)
-        assert np.allclose(predict_proba(model, Xq), predict_proba(clone, Xq))
+        assert doc["version"] == 2
+        expected = predict_proba(model, Xq).tobytes()
+        assert predict_proba(model_from_dict(doc), Xq).tobytes() == expected
         path = tmp_path / f"{doc['family']}.json"
         save_model(model, str(path))
-        assert np.allclose(
-            predict_proba(load_model(str(path)), Xq), predict_proba(model, Xq)
-        )
+        assert predict_proba(load_model(str(path)), Xq).tobytes() == expected
+        assert model_to_dict(load_model(str(path))) == doc
 
 
 def test_deserialization_rejects_foreign_documents():
@@ -297,6 +294,74 @@ def test_deserialization_rejects_foreign_documents():
         model_from_dict({"family": "tree"})
     with pytest.raises(DataError, match="version"):
         model_from_dict({"format": "idstats-model", "version": 99, "family": "tree"})
+
+
+def test_deserialization_rejects_a_version_1_document():
+    # version 1 stored each tree as nested node objects
+    doc = {
+        "format": "idstats-model", "version": 1, "family": "tree", "n_features": 1,
+        "root": {"n": 2, "impurity": 0.0, "dist": [1.0, 0.0]},
+    }
+    with pytest.raises(DataError, match="version 1"):
+        model_from_dict(doc)
+
+
+def _corrupt(family, edit):
+    """A fitted model's document with ``edit`` applied to its first tree."""
+    X, y = two_blobs(n_per=30, shift=2.0, seed=21)
+    model = {
+        "tree": lambda: fit_tree(X, y, max_depth=3),
+        "forest": lambda: fit_forest(X, y, n_trees=2, max_depth=3, seed=1),
+        "gbdt": lambda: fit_gbdt(X, y, rounds=2, max_depth=3),
+    }[family]()
+    doc = model_to_dict(model)
+    first = doc["tree"] if family == "tree" else doc["trees"][0]
+    first = first[0] if family == "gbdt" else first
+    assert first["feature"][0] >= 0  # the root splits
+    edit(first)
+    return doc
+
+
+def _self_loop(tree):
+    tree["left"][0] = 0
+
+
+def _child_before_parent(tree):
+    inner = [i for i, f in enumerate(tree["feature"]) if f >= 0]
+    tree["right"][inner[-1]] = inner[-1] - 1
+
+
+def _child_out_of_range(tree):
+    tree["right"][0] = len(tree["feature"])
+
+
+def _feature_out_of_range(tree):
+    tree["feature"][0] = 3
+
+
+def _ragged_value_row(tree):
+    tree["value"][1] = tree["value"][1] + [0.0]
+
+
+def _wide_value_rows(tree):
+    tree["value"] = [row + row for row in tree["value"]]
+
+
+def _short_array(tree):
+    tree["gain"].pop()
+
+
+@pytest.mark.parametrize("family", ["tree", "forest", "gbdt"])
+@pytest.mark.parametrize(
+    "edit",
+    [_self_loop, _child_before_parent, _child_out_of_range, _feature_out_of_range,
+     _ragged_value_row, _wide_value_rows, _short_array],
+)
+def test_deserialization_rejects_trees_a_descent_could_not_finish(family, edit):
+    # each of these raises at load time, before any descent could loop or
+    # index out of bounds
+    with pytest.raises(DataError):
+        model_from_dict(_corrupt(family, edit))
 
 
 def test_derive_seed_is_deterministic_and_path_sensitive():
@@ -310,7 +375,31 @@ def test_derive_seed_is_deterministic_and_path_sensitive():
 #
 # These are the split search and growers the presorted engine replaced: each
 # node argsorts every drawn feature, and a GBDT node makes two bincounts per
-# feature. The engine must grow bit-identical trees.
+# feature. They keep their nodes as dicts and number them as the engine
+# does: a split appends both children. The engine must grow bit-identical
+# trees.
+
+
+def _reference_tree(nodes, n_features):
+    """trees.Tree from the reference's node dicts, in id order."""
+
+    def column(key, dtype):
+        return np.array([node[key] for node in nodes], dtype=dtype)
+
+    return trees.Tree(
+        feature=column("feature", np.intp),
+        threshold=column("threshold", np.float64),
+        left=column("left", np.intp),
+        right=column("right", np.intp),
+        n_samples=column("n", np.int64),
+        value=column("value", np.float64).reshape(len(nodes), -1),
+        gain=column("gain", np.float64),
+        n_features=n_features,
+    )
+
+
+def _reference_leaf(n, value, **extra):
+    return dict(n=n, value=value, feature=-1, threshold=0.0, left=-1, right=-1, gain=0.0) | extra
 
 
 def _reference_best_split(X, onehot, idx, features, min_leaf, parent_impurity):
@@ -348,34 +437,40 @@ def _reference_grow_tree(X, y, n_classes, max_depth, min_leaf, feature_subset, r
     onehot[np.arange(n), y] = 1.0
     m = p if feature_subset is None else min(max(int(feature_subset), 1), p)
 
+    nodes = []
+
     def node_for(idx):
         counts = onehot[idx].sum(axis=0)
-        return trees.TreeNode(
-            n_samples=int(idx.size), impurity=gini(counts), distribution=counts / idx.size
-        )
+        nodes.append(_reference_leaf(int(idx.size), counts / idx.size, impurity=gini(counts)))
+        return nodes[-1]
 
-    root = node_for(np.arange(n))
-    root.n_features = p
-    stack = [(root, np.arange(n), 0)]
+    node_for(np.arange(n))
+    stack = [(nodes[0], np.arange(n), 0)]
     while stack:
         node, idx, depth = stack.pop()
         if (
             (max_depth is not None and depth >= max_depth)
             or idx.size < 2 * min_leaf
-            or node.impurity <= 0.0
+            or node["impurity"] <= 0.0
         ):
             continue
         features = rng.choice(p, size=m, replace=False) if m < p else np.arange(p)
-        best = _reference_best_split(X, onehot, idx, features, min_leaf, node.impurity)
+        best = _reference_best_split(X, onehot, idx, features, min_leaf, node["impurity"])
         if best is None:
             continue
-        _, node.feature, node.threshold = best
-        mask = X[idx, node.feature] <= node.threshold
-        node.left = node_for(idx[mask])
-        node.right = node_for(idx[~mask])
-        stack.append((node.right, idx[~mask], depth + 1))
-        stack.append((node.left, idx[mask], depth + 1))
-    return root
+        _, node["feature"], node["threshold"] = best
+        mask = X[idx, node["feature"]] <= node["threshold"]
+        node["left"], node["right"] = len(nodes), len(nodes) + 1
+        left, right = node_for(idx[mask]), node_for(idx[~mask])
+        # impurity decrease, weighted by the node's share of the root's rows
+        node["gain"] = (
+            node["n"] * node["impurity"]
+            - left["n"] * left["impurity"]
+            - right["n"] * right["impurity"]
+        ) / n
+        stack.append((right, idx[~mask], depth + 1))
+        stack.append((left, idx[mask], depth + 1))
+    return _reference_tree(nodes, p)
 
 
 def _reference_fit_hist_tree(
@@ -383,19 +478,21 @@ def _reference_fit_hist_tree(
 ):
     n, p = codes.shape
     values = np.empty(n, dtype=np.float64)
+    nodes = []
 
     def node_for(idx):
         sum_g = float(g[idx].sum())
         sum_h = float(h[idx].sum())
         step = -learning_rate * sum_g / (sum_h + lambda_reg)
-        return trees._GbdtNode(n_samples=int(idx.size), value=step)
+        nodes.append(_reference_leaf(int(idx.size), step))
+        return nodes[-1]
 
-    root = node_for(np.arange(n))
-    stack = [(root, np.arange(n), 0)]
+    node_for(np.arange(n))
+    stack = [(nodes[0], np.arange(n), 0)]
     while stack:
         node, idx, depth = stack.pop()
         if (max_depth is not None and depth >= max_depth) or idx.size < 2:
-            values[idx] = node.value
+            values[idx] = node["value"]
             continue
         total_g = float(g[idx].sum())
         total_h = float(h[idx].sum())
@@ -425,18 +522,16 @@ def _reference_fit_hist_tree(
                 best_gain = float(gain[pick])
                 best = (f, pick)
         if best is None:
-            values[idx] = node.value
+            values[idx] = node["value"]
             continue
         f, j = best
-        node.feature, node.bin_edge = f, j
-        node.threshold = float(edges[f][j])
-        node.gain = best_gain
+        node.update(feature=f, threshold=float(edges[f][j]), gain=best_gain)
         mask = codes[idx, f] <= j
-        node.left = node_for(idx[mask])
-        node.right = node_for(idx[~mask])
-        stack.append((node.right, idx[~mask], depth + 1))
-        stack.append((node.left, idx[mask], depth + 1))
-    return root, values
+        node["left"], node["right"] = len(nodes), len(nodes) + 1
+        left, right = node_for(idx[mask]), node_for(idx[~mask])
+        stack.append((right, idx[~mask], depth + 1))
+        stack.append((left, idx[mask], depth + 1))
+    return _reference_tree(nodes, p), values
 
 
 def _reference_forest(X, y, n_trees, max_depth, min_leaf, max_features, bootstrap, seed):
@@ -447,12 +542,10 @@ def _reference_forest(X, y, n_trees, max_depth, min_leaf, max_features, bootstra
     for i in range(n_trees):
         rng = np.random.default_rng([seed, i])
         sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-        tree = _reference_grow_tree(
+        grown.append(_reference_grow_tree(
             X[sample], y[sample], n_classes, max_depth, min_leaf,
             m if m < p else None, rng,
-        )
-        tree.n_features = p
-        grown.append(tree)
+        ))
     return ForestModel(grown, n_classes, p, m, bootstrap, seed)
 
 
@@ -570,3 +663,33 @@ def test_models_without_features_equal_the_reference(monkeypatch):
     _assert_same_model(forest, _reference_forest(X, y, 2, None, 1, "sqrt", True, 1), X)
     params = dict(rounds=2, n_bins=16)
     _assert_same_model(fit_gbdt(X, y, **params), _reference_gbdt(monkeypatch, X, y, **params), X)
+
+
+def _reference_importance(grown, n_features):
+    """Split gains added recursively: pre-order, right subtree first."""
+    out = np.zeros(n_features)
+
+    def visit(tree, i):
+        if tree.feature[i] >= 0:
+            out[tree.feature[i]] += tree.gain[i]
+            visit(tree, tree.right[i])
+            visit(tree, tree.left[i])
+
+    for tree in grown:
+        visit(tree, 0)
+    return out / out.sum()
+
+
+def test_importances_add_the_gains_in_a_fixed_order():
+    # the RFE trace and selection read these sums, so their order (that of
+    # the node-object walk the arrays replaced) is kept to the last bit
+    X, y = _oracle_data(n=400, seed=12)
+    forest = fit_forest(X, y, n_trees=6, max_depth=None, seed=3)
+    gbdt = fit_gbdt(X, y, rounds=5, max_depth=6)
+    for model, grown in (
+        (forest.trees[0], forest.trees[:1]),
+        (forest, forest.trees),
+        (gbdt, [tree for round_trees in gbdt.trees for tree in round_trees]),
+    ):
+        expected = _reference_importance(grown, X.shape[1])
+        assert impurity_importance(model).tobytes() == expected.tobytes()

@@ -77,7 +77,7 @@ def test_trace_entries_match_independently_recomputed_statistics():
         xb = pooled[permuted == 1]
         h_a = bandwidth_for(xa, "scott")
         h_b = bandwidth_for(xb, "scott")
-        grid = make_grid(xa, xb, h_a, h_b, cfg.grid_size)
+        grid = make_grid([xa, xb], max(h_a, h_b), cfg.grid_size)
         pair = to_mass_pair(
             KdeModel(samples=xa, bandwidth=h_a, policy="scott"),
             KdeModel(samples=xb, bandwidth=h_b, policy="scott"),
