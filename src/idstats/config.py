@@ -112,6 +112,17 @@ class RfeOptions:
     n_trees: int = 30
     max_depth: int | None = None
 
+    def __post_init__(self) -> None:
+        # importances sum to 1, so a threshold above 1 would select nothing
+        if not 0.0 <= self.keep_threshold <= 1.0:
+            raise ConfigError(f"keep_threshold must be in [0, 1], got {self.keep_threshold}")
+        if self.step < 1 or self.n_trees < 1:
+            raise ConfigError(
+                f"step and n_trees must be >= 1, got {self.step} and {self.n_trees}"
+            )
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ConfigError(f"max_depth must be >= 0 or null, got {self.max_depth}")
+
 
 @dataclass(frozen=True)
 class PreprocessOptions:
@@ -122,6 +133,14 @@ class PreprocessOptions:
     engineered: tuple[EngineeredFeature, ...] = ()
     rfe: RfeOptions = field(default_factory=RfeOptions)
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        if not 0.0 < self.correlation_threshold <= 1.0:
+            raise ConfigError(
+                f"correlation_threshold must be in (0, 1], got {self.correlation_threshold}"
+            )
+
 
 @dataclass(frozen=True)
 class CvOptions:
@@ -129,6 +148,10 @@ class CvOptions:
 
     k: int = 10
     models: dict[str, dict[str, list]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.k < 2:
+            raise ConfigError(f"k must be >= 2, got {self.k}")
 
 
 @dataclass(frozen=True)
@@ -262,7 +285,9 @@ def _parse_engineered(section: Any, where: str) -> tuple[EngineeredFeature, ...]
 def _parse_rfe(section: Any, where: str) -> RfeOptions:
     section = _expect_mapping(section, where)
     _reject_unknown(section, ("keep_threshold", "step", "n_trees", "max_depth"), where)
-    return RfeOptions(
+    return _checked(
+        RfeOptions,
+        where,
         keep_threshold=_get(section, "keep_threshold", float, where, 0.025),
         step=_get(section, "step", int, where, 1),
         n_trees=_get(section, "n_trees", int, where, 30),
@@ -287,7 +312,9 @@ def _parse_preprocess(section: Any, where: str) -> PreprocessOptions:
     rfe = RfeOptions()
     if "rfe" in section:
         rfe = _parse_rfe(section["rfe"], f"{where}.rfe")
-    return PreprocessOptions(
+    return _checked(
+        PreprocessOptions,
+        where,
         test_fraction=_get(section, "test_fraction", float, where, 0.2),
         dedup=_get(section, "dedup", bool, where, True),
         scale=_get(section, "scale", bool, where, True),
@@ -330,7 +357,7 @@ def _parse_cv(section: Any, where: str) -> CvOptions:
     models: dict[str, dict[str, list]] = {}
     if "models" in section:
         models = _parse_models(section["models"], f"{where}.models")
-    return CvOptions(k=_get(section, "k", int, where, 10), models=models)
+    return _checked(CvOptions, where, k=_get(section, "k", int, where, 10), models=models)
 
 
 def _parse_feature_list(value: Any, where: str) -> tuple[str, ...]:

@@ -14,9 +14,6 @@ from .tabular import ColumnTable
 
 RECIPROCAL_EPS = 1e-9
 
-# Below this length inversions are counted by direct pair comparison.
-_INVERSION_BASE = 64
-
 
 def quantile(x: np.ndarray, q: float) -> float:
     """Linear-interpolation quantile: index h = q·(n−1) into the sorted values."""
@@ -131,50 +128,48 @@ def pearson_corr(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.clip(np.dot(dx, dy) / (sx * sy), -1.0, 1.0))
 
 
-def _count_inversions(a: np.ndarray) -> int:
-    """Number of pairs i < j with a[i] > a[j]. Returns a sorted copy's count.
+def _bitwise_inversions(ranks: np.ndarray) -> int:
+    """Number of pairs i < j with ranks[i] > ranks[j], for dense ranks >= 0.
 
-    Merge-count recursion; each level merges sorted halves and counts cross
-    pairs with searchsorted, so the total is O(n log n).
+    Such a pair first differs at a bit k where ranks[i] has the 1. From the
+    top bit down, with the order grouped by the bits above k and each group
+    in input order, every 0 adds the 1s before it in its group; a stable
+    partition of each group by bit k gives the order for bit k − 1.
     """
-
-    def recurse(v: np.ndarray) -> tuple[np.ndarray, int]:
-        n = len(v)
-        if n <= _INVERSION_BASE:
-            count = int(np.sum(np.triu(v[:, None] > v[None, :], k=1)))
-            return np.sort(v, kind="stable"), count
-        mid = n // 2
-        left, c_left = recurse(v[:mid])
-        right, c_right = recurse(v[mid:])
-        # pairs (i in left, j in right) with left[i] > right[j]
-        right_pos = np.searchsorted(left, right, side="right")
-        cross = int(np.sum(len(left) - right_pos))
-        pos = right_pos + np.arange(len(right))
-        merged = np.empty(n, dtype=v.dtype)
-        merged[pos] = right
-        mask = np.ones(n, dtype=bool)
-        mask[pos] = False
-        merged[mask] = left
-        return merged, c_left + c_right + cross
-
-    return recurse(np.asarray(a))[1]
-
-
-def _tie_pair_count(v: np.ndarray) -> int:
-    """Number of pairs sharing a value: Σ t·(t−1)/2 over tie-group sizes t."""
-    _, counts = np.unique(v, return_counts=True)
-    return int(np.sum(counts * (counts - 1) // 2))
+    v = np.asarray(ranks, dtype=np.int64)
+    i = np.arange(v.size)
+    total = 0
+    for k in range(int(v.max(initial=0)).bit_length() - 1, -1, -1):
+        q = v >> k
+        b = q & 1
+        counts = np.bincount(q)
+        start = np.cumsum(counts) - counts  # first slot of each q in the next order
+        group_start = start[q - b]
+        r = np.cumsum(b) - b
+        r -= r[group_start]  # 1s before each element within its group
+        total += int(r.sum() - np.dot(r, b))
+        if k:
+            # a 0 moves back past the r 1s before it; a 1 goes to slot r of its q
+            offset = i - group_start
+            pos = start[q] + offset - r + b * (2 * r - offset)
+            v_next = np.empty_like(v)
+            v_next[pos] = v
+            v = v_next
+    return total
 
 
 def kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
     """Kendall's tau-b with tie correction in O(n log n).
 
-    Sorts by (x, then y) and counts strict y-inversions by merge counting;
-    pairs tied in x are y-sorted and never counted. Matches the O(n²)
-    pair-enumeration definition exactly.
+    Each vector becomes dense integer ranks (``np.unique``), whose group
+    sizes give the x- and y-tie pair counts. The pairs are sorted by the one
+    integer key rx·(max ry + 1) + ry, so equal keys are joint ties, and the
+    strict inversions of the y ranks in that order are the discordant pairs;
+    ``_bitwise_inversions`` counts them one bit at a time. Matches the O(n²)
+    pair-enumeration definition exactly; ``0.0`` and ``-0.0`` are one value.
 
     Args:
-        x, y: equal-length vectors, n >= 2.
+        x, y: equal-length finite vectors, n >= 2.
 
     Returns:
         tau-b in [−1, 1]; 0.0 with a warning when either vector is constant.
@@ -183,13 +178,15 @@ def kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.size < 2:
         raise DataError("kendall_tau_b needs two equal-length vectors, n >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("kendall_tau_b needs finite values")
     n = x.size
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
+    _, rx, x_counts = np.unique(x, return_inverse=True, return_counts=True)
+    _, ry, y_counts = np.unique(y, return_inverse=True, return_counts=True)
 
     n0 = n * (n - 1) // 2
-    n1 = _tie_pair_count(x)
-    n2 = _tie_pair_count(y)
+    n1 = int(np.sum(x_counts * (x_counts - 1) // 2))
+    n2 = int(np.sum(y_counts * (y_counts - 1) // 2))
     if n1 == n0 or n2 == n0:
         warnings.warn(
             "kendall_tau_b: constant input, returning 0.0",
@@ -197,13 +194,16 @@ def kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
             stacklevel=2,
         )
         return 0.0
-    # joint-tie pairs: run lengths of equal (x, y) in the lexicographic order
-    same = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
-    boundaries = np.flatnonzero(~same)
-    run_lengths = np.diff(np.concatenate(([-1], boundaries, [n - 1])))
+    # equal keys have equal y, so no stable sort is needed
+    key = rx * y_counts.size + ry
+    order = np.argsort(key)
+    sorted_key = key[order]
+    # joint-tie pairs: runs of equal keys
+    run_ends = np.flatnonzero(np.append(sorted_key[1:] != sorted_key[:-1], True))
+    run_lengths = np.diff(run_ends, prepend=-1)
     n3 = int(np.sum(run_lengths * (run_lengths - 1) // 2))
 
-    n_disc = _count_inversions(ys)
+    n_disc = _bitwise_inversions(ry[order])
     # concordant − discordant = untied pairs − 2·discordant
     num = (n0 - n1 - n2 + n3) - 2 * n_disc
     denom = np.sqrt(float(n0 - n1) * float(n0 - n2))

@@ -839,19 +839,22 @@ def model_to_dict(model) -> dict:
     raise DataError(f"unknown model type {type(model).__name__}")
 
 
-def model_from_dict(data: dict):
-    if data.get("format") != MODEL_FORMAT:
-        raise DataError("not a recognized model document")
-    if data.get("version") != MODEL_VERSION:
-        raise DataError(
-            f"unsupported model version {data.get('version')!r}; this build reads "
-            f"version {MODEL_VERSION} only, so rerun cv to rewrite the model"
-        )
+def _model_from_fields(data: dict):
     family = data.get("family")
+    if family not in ModelSpec.VALID_FAMILIES:
+        raise DataError(f"unknown model family {family!r}")
+    p = int(data["n_features"])
+    if family == "majority":
+        distribution = np.asarray(data["distribution"], dtype=np.float64)
+        if distribution.ndim != 1 or distribution.size == 0:
+            raise DataError("a majority distribution needs at least one class")
+        return MajorityModel(distribution=distribution, n_features=p)
+    n_classes = int(data["n_classes"])
     if family == "tree":
-        return _tree_from_dict(data["tree"], int(data["n_features"]), int(data["n_classes"]))
+        return _tree_from_dict(data["tree"], p, n_classes)
     if family == "forest":
-        p, n_classes = int(data["n_features"]), int(data["n_classes"])
+        if not data["trees"]:
+            raise DataError("a forest document needs at least one tree")
         return ForestModel(
             trees=[_tree_from_dict(t, p, n_classes) for t in data["trees"]],
             n_classes=n_classes,
@@ -860,24 +863,42 @@ def model_from_dict(data: dict):
             bootstrap=bool(data["bootstrap"]),
             seed=int(data["seed"]),
         )
-    if family == "gbdt":
-        p = int(data["n_features"])
-        return GbdtModel(
-            trees=[[_tree_from_dict(t, p, 1) for t in row] for row in data["trees"]],
-            init_scores=np.asarray(data["init_scores"], dtype=np.float64),
-            learning_rate=float(data["learning_rate"]),
-            bin_edges=[np.asarray(e, dtype=np.float64) for e in data["bin_edges"]],
-            n_classes=int(data["n_classes"]),
-            n_features=p,
-            train_loss=[float(v) for v in data["train_loss"]],
-            seed=int(data["seed"]),
+    trees = [[_tree_from_dict(t, p, 1) for t in row] for row in data["trees"]]
+    init_scores = np.asarray(data["init_scores"], dtype=np.float64)
+    bin_edges = [np.asarray(e, dtype=np.float64) for e in data["bin_edges"]]
+    if any(len(row) != n_classes for row in trees):
+        raise DataError(f"every gbdt round must hold {n_classes} trees")
+    if init_scores.shape != (n_classes,):
+        raise DataError(f"gbdt init_scores must have {n_classes} entries")
+    if len(bin_edges) != p:
+        raise DataError(f"gbdt bin_edges must have {p} entries")
+    return GbdtModel(
+        trees=trees,
+        init_scores=init_scores,
+        learning_rate=float(data["learning_rate"]),
+        bin_edges=bin_edges,
+        n_classes=n_classes,
+        n_features=p,
+        train_loss=[float(v) for v in data["train_loss"]],
+        seed=int(data["seed"]),
+    )
+
+
+def model_from_dict(data: dict):
+    """Model from its document; a field missing or out of shape is a DataError."""
+    if data.get("format") != MODEL_FORMAT:
+        raise DataError("not a recognized model document")
+    if data.get("version") != MODEL_VERSION:
+        raise DataError(
+            f"unsupported model version {data.get('version')!r}; this build reads "
+            f"version {MODEL_VERSION} only, so rerun cv to rewrite the model"
         )
-    if family == "majority":
-        return MajorityModel(
-            distribution=np.asarray(data["distribution"], dtype=np.float64),
-            n_features=int(data["n_features"]),
-        )
-    raise DataError(f"unknown model family {family!r}")
+    try:
+        return _model_from_fields(data)
+    except KeyError as exc:
+        raise DataError(f"model document lacks the {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed model document: {exc}") from None
 
 
 def save_model(model, path: str) -> None:

@@ -94,6 +94,37 @@ def test_wy_and_density_values_are_rejected_at_parse_time(section, key, bad, mes
         parse_config(doc(**{section: {key: bad}}))
 
 
+@pytest.mark.parametrize(
+    "section, values, where",
+    [
+        ("preprocess", {"test_fraction": 1.5}, "config.preprocess: test_fraction"),
+        ("preprocess", {"test_fraction": 0}, "config.preprocess: test_fraction"),
+        ("preprocess", {"correlation_threshold": -2.0}, "correlation_threshold"),
+        ("preprocess", {"correlation_threshold": 0.0}, "correlation_threshold"),
+        ("preprocess", {"rfe": {"step": 0}}, "config.preprocess.rfe: step"),
+        ("preprocess", {"rfe": {"n_trees": 0}}, "config.preprocess.rfe: .*n_trees"),
+        ("preprocess", {"rfe": {"keep_threshold": -1.0}}, "rfe: keep_threshold"),
+        ("preprocess", {"rfe": {"keep_threshold": 1.5}}, "rfe: keep_threshold"),
+        ("preprocess", {"rfe": {"max_depth": -3}}, "config.preprocess.rfe: max_depth"),
+        ("cv", {"k": 0}, "config.cv: k"),
+        ("cv", {"k": 1}, "config.cv: k"),
+    ],
+)
+def test_preprocess_rfe_and_cv_values_are_rejected_at_parse_time(section, values, where):
+    with pytest.raises(ConfigError, match=where):
+        parse_config(doc(**{section: values}))
+
+
+def test_preprocess_rfe_and_cv_boundary_values_are_accepted():
+    cfg = parse_config(doc(
+        preprocess={"correlation_threshold": 1.0, "rfe": {"keep_threshold": 0.0}},
+        cv={"k": 2},
+    ))
+    assert cfg.preprocess.correlation_threshold == 1.0
+    assert cfg.preprocess.rfe.keep_threshold == 0.0
+    assert cfg.cv.k == 2
+
+
 def test_wy_values_need_no_class_pair_until_the_stage_runs():
     cfg = parse_config(doc(wy={"permutations": 10, "bandwidth": "scott"}))
     assert cfg.wy.classes is None

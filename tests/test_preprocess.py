@@ -12,6 +12,7 @@ from idstats.errors import DataError, DataQualityWarning
 from idstats.preprocess import (
     EngineeredFeature,
     RobustScalerState,
+    _bitwise_inversions,
     correlation_matrix,
     drop_correlated,
     engineer_features,
@@ -48,6 +49,54 @@ def kendall_by_pairs(x, y):
     tie = lambda v: sum(c * (c - 1) // 2 for c in np.unique(v, return_counts=True)[1])
     denom = math.sqrt((n0 - tie(x)) * (n0 - tie(y)))
     return (concordant - discordant) / denom if denom > 0 else 0.0
+
+
+def merge_inversions(a):
+    """Pairs i < j with a[i] > a[j], by merge-count recursion in O(n log n)."""
+
+    def recurse(v):
+        n = len(v)
+        if n <= 64:
+            count = int(np.sum(np.triu(v[:, None] > v[None, :], k=1)))
+            return np.sort(v, kind="stable"), count
+        mid = n // 2
+        left, c_left = recurse(v[:mid])
+        right, c_right = recurse(v[mid:])
+        # pairs (i in left, j in right) with left[i] > right[j]
+        right_pos = np.searchsorted(left, right, side="right")
+        cross = int(np.sum(len(left) - right_pos))
+        pos = right_pos + np.arange(len(right))
+        merged = np.empty(n, dtype=v.dtype)
+        merged[pos] = right
+        mask = np.ones(n, dtype=bool)
+        mask[pos] = False
+        merged[mask] = left
+        return merged, c_left + c_right + cross
+
+    return recurse(np.asarray(a))[1]
+
+
+def kendall_by_merge_count(x, y):
+    """O(n log n) tau-b: lexsort by (x, then y), merge-count the y inversions."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.size
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    tie = lambda v: int(np.sum((c := np.unique(v, return_counts=True)[1]) * (c - 1) // 2))
+    n0, n1, n2 = n * (n - 1) // 2, tie(x), tie(y)
+    # joint-tie pairs: run lengths of equal (x, y) in the lexicographic order
+    same = (xs[1:] == xs[:-1]) & (ys[1:] == ys[:-1])
+    run_lengths = np.diff(np.concatenate(([-1], np.flatnonzero(~same), [n - 1])))
+    n3 = int(np.sum(run_lengths * (run_lengths - 1) // 2))
+    num = (n0 - n1 - n2 + n3) - 2 * merge_inversions(ys)
+    denom = np.sqrt(float(n0 - n1) * float(n0 - n2))
+    return float(np.clip(num / denom, -1.0, 1.0))
+
+
+def inversions_by_pairs(a):
+    a = np.asarray(a)
+    return int(np.sum(np.triu(a[:, None] > a[None, :], k=1)))
 
 
 def test_quantile_uses_linear_interpolation():
@@ -265,3 +314,68 @@ def test_kendall_tau_b_matches_scipy_on_tied_data(seed):
     expected = stats.kendalltau(x, y, variant="b").statistic
     assert kendall_tau_b(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-15)
     assert kendall_tau_b(x, -y) == pytest.approx(-expected, rel=1e-12, abs=1e-15)
+
+
+def test_bitwise_inversions_match_pair_count_for_every_short_length():
+    rng = np.random.default_rng(31)
+    for n in range(301):
+        for a in (
+            rng.integers(0, max(n, 1), size=n),
+            rng.integers(0, 3, size=n),  # heavy ties
+            np.full(n, 5),
+            np.arange(n)[::-1],
+        ):
+            assert _bitwise_inversions(a) == inversions_by_pairs(a), n
+
+
+@pytest.mark.parametrize("n", [2 ** k + d for k in range(1, 11) for d in (-1, 0, 1)])
+def test_bitwise_inversions_at_powers_of_two(n):
+    rng = np.random.default_rng(n)
+    for a in (rng.permutation(n), rng.integers(0, n, size=n), np.arange(n)[::-1]):
+        assert _bitwise_inversions(a) == inversions_by_pairs(a)
+
+
+def test_kendall_equals_merge_count_reference_exactly():
+    rng = np.random.default_rng(42)
+    for _ in range(25):
+        n = int(rng.integers(3, 200))
+        x = rng.integers(0, 6, size=n).astype(np.float64)
+        y = rng.integers(0, 6, size=n).astype(np.float64)
+        if np.all(x == x[0]) or np.all(y == y[0]):
+            continue
+        assert kendall_tau_b(x, y) == kendall_by_merge_count(x, y)
+    x = rng.normal(size=24_000)
+    y = np.round(0.4 * x + rng.normal(size=24_000), 2)  # continuous against tied
+    for a, b in ((x, y), (y, x), (x, -x), (np.round(x, 1), y)):
+        assert kendall_tau_b(a, b) == kendall_by_merge_count(a, b)
+
+
+def test_kendall_counts_signed_zeros_as_one_tie():
+    x = np.array([0.0, -0.0, 1.0, 2.0, -0.0])
+    y = np.array([3.0, 1.0, 2.0, 0.0, 4.0])
+    assert kendall_tau_b(x, y) == kendall_by_pairs(np.abs(x), y)
+    assert kendall_tau_b(x, y) == kendall_tau_b(np.abs(x), y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kendall_rejects_non_finite_input(bad):
+    x = np.arange(6.0)
+    x[2] = bad
+    with pytest.raises(DataError, match="finite"):
+        kendall_tau_b(x, np.arange(6.0))
+    with pytest.raises(DataError, match="finite"):
+        kendall_tau_b(np.arange(6.0), x)
+
+
+def test_kendall_matrix_does_not_depend_on_workers():
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=500)
+    t = table_from(
+        x=x,
+        tied=np.round(x + rng.normal(size=500), 1),
+        coarse=rng.integers(0, 4, size=500),
+        noise=rng.normal(size=500),
+    )
+    serial = correlation_matrix(t, "kendall", workers=1).values
+    pooled = correlation_matrix(t, "kendall", workers=2).values
+    assert serial.tobytes() == pooled.tobytes()

@@ -306,15 +306,19 @@ def test_deserialization_rejects_a_version_1_document():
         model_from_dict(doc)
 
 
-def _corrupt(family, edit):
-    """A fitted model's document with ``edit`` applied to its first tree."""
+def _fitted_doc(family):
     X, y = two_blobs(n_per=30, shift=2.0, seed=21)
-    model = {
+    return model_to_dict({
         "tree": lambda: fit_tree(X, y, max_depth=3),
         "forest": lambda: fit_forest(X, y, n_trees=2, max_depth=3, seed=1),
         "gbdt": lambda: fit_gbdt(X, y, rounds=2, max_depth=3),
-    }[family]()
-    doc = model_to_dict(model)
+        "majority": lambda: fit_majority(X, y),
+    }[family]())
+
+
+def _corrupt(family, edit):
+    """A fitted model's document with ``edit`` applied to its first tree."""
+    doc = _fitted_doc(family)
     first = doc["tree"] if family == "tree" else doc["trees"][0]
     first = first[0] if family == "gbdt" else first
     assert first["feature"][0] >= 0  # the root splits
@@ -362,6 +366,57 @@ def test_deserialization_rejects_trees_a_descent_could_not_finish(family, edit):
     # index out of bounds
     with pytest.raises(DataError):
         model_from_dict(_corrupt(family, edit))
+
+
+def _wide_round(doc):
+    doc["trees"][1].append(doc["trees"][1][0])
+
+
+def _long_init_scores(doc):
+    doc["init_scores"].append(0.0)
+
+
+def _short_bin_edges(doc):
+    doc["bin_edges"].pop()
+
+
+def _no_trees(doc):
+    doc["trees"] = []
+
+
+def _empty_distribution(doc):
+    doc["distribution"] = []
+
+
+def _unparsable_count(doc):
+    doc["n_features"] = "three"
+
+
+@pytest.mark.parametrize(
+    "family, edit, message",
+    [
+        ("gbdt", _wide_round, "round"),
+        ("gbdt", _long_init_scores, "init_scores"),
+        ("gbdt", _short_bin_edges, "bin_edges"),
+        ("forest", _no_trees, "at least one tree"),
+        ("majority", _empty_distribution, "distribution"),
+        ("forest", _unparsable_count, "malformed"),
+    ],
+)
+def test_deserialization_rejects_model_fields_out_of_shape(family, edit, message):
+    doc = _fitted_doc(family)
+    edit(doc)
+    with pytest.raises(DataError, match=message):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("family", ["tree", "forest", "gbdt", "majority"])
+def test_deserialization_rejects_a_document_missing_any_key(family):
+    doc = _fitted_doc(family)
+    for key in set(doc) - {"format", "version", "family"}:
+        broken = {k: v for k, v in doc.items() if k != key}
+        with pytest.raises(DataError, match="lacks"):
+            model_from_dict(broken)
 
 
 def test_derive_seed_is_deterministic_and_path_sensitive():
