@@ -3,14 +3,23 @@
 One file drives every subcommand; command-line flags override individual
 values. Unknown keys anywhere in the document are rejected before any
 computation starts.
+
+Each options dataclass below is the only place its section's keys, defaults
+and scalar types are written. `_parse_section` takes the allowed keys and
+defaults from `dataclasses.fields` and each scalar's type from the field's
+annotation, where `X | None` means the key may be null. Only the structured
+keys (schema, engineered, models, classes, features) have parsers of their
+own; a field whose type is a dataclass is parsed as a nested section. The
+value checks live in each dataclass's `__post_init__`, so the flag overrides
+pass the same checks, and `config_echo` is `asdict` of the same objects.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 import yaml
 
@@ -76,29 +85,19 @@ def _reject_unknown(mapping: dict, allowed: tuple[str, ...], where: str) -> None
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
 
 
-def _get(
-    mapping: dict,
-    key: str,
-    kind: type | tuple[type, ...],
-    where: str,
-    default,
-    nullable: bool = False,
-):
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if value is None and nullable:
+def _scalar(value: Any, hint: Any, where: str):
+    """Check one scalar against its field's type; ints widen to float."""
+    kinds = get_args(hint)
+    if value is None and type(None) in kinds:
         return None
+    kind = next((k for k in kinds if k is not type(None)), hint)
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if isinstance(value, bool) and kind in (int, float):
-        raise ConfigError(f"{where}.{key} must be a number, got a boolean")
+        raise ConfigError(f"{where} must be a number, got a boolean")
     if not isinstance(value, kind):
-        want = kind.__name__ if isinstance(kind, type) else "/".join(
-            k.__name__ for k in kind
-        )
         raise ConfigError(
-            f"{where}.{key} must be {want}, got {type(value).__name__}"
+            f"{where} must be {kind.__name__}, got {type(value).__name__}"
         )
     return value
 
@@ -167,6 +166,9 @@ class DensityOptions:
             raise ConfigError(f"unknown bandwidth policy {self.policy!r}")
         if self.grid_size < 2:
             raise ConfigError("grid_size must be >= 2")
+        # an empty list would summarize nothing; null means the selected set
+        if self.features == ():
+            raise ConfigError("features must be a non-empty list of feature names")
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,8 @@ class WyOptions:
     features: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if self.features == ():
+            raise ConfigError("features must be a non-empty list of feature names")
         # WyConfig holds the checks; a stand-in pair is used until --classes
         # supplies the real one.
         self._wy_config(self.classes or ("a", "b"), seed=0)
@@ -195,18 +199,17 @@ class WyOptions:
         return self._wy_config(self.classes, seed)
 
     def _wy_config(self, classes: tuple[str, str], seed: int) -> WyConfig:
+        own = {f.name for f in fields(self)}
+        shared = {
+            f.name: getattr(self, f.name) for f in fields(WyConfig) if f.name in own
+        }
         try:
             return WyConfig(
                 class_a=classes[0],
                 class_b=classes[1],
-                permutations=self.permutations,
-                alpha=self.alpha,
                 bandwidth_policy=self.bandwidth,
-                grid_size=self.grid_size,
                 seed=seed,
-                cv_candidates=self.cv_candidates,
-                cv_folds=self.cv_folds,
-                refit_bandwidths=self.refit_bandwidths,
+                **shared,
             )
         except DataError as exc:
             raise ConfigError(str(exc)) from exc
@@ -217,14 +220,24 @@ class RunConfig:
     """Everything a run needs: paths, schema, seeds, and per-stage options."""
 
     input: Path
-    output: Path
     schema: tuple[ColumnSchema, ...]
+    output: Path = Path("out")
     seed: int = 0
     threads: int = 1
     preprocess: PreprocessOptions = field(default_factory=PreprocessOptions)
     cv: CvOptions = field(default_factory=CvOptions)
     density: DensityOptions = field(default_factory=DensityOptions)
     wy: WyOptions = field(default_factory=WyOptions)
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+
+
+def _parse_path(value: Any, where: str) -> Path:
+    return Path(_scalar(value, str, where))
 
 
 def _parse_schema(section: Any, where: str) -> tuple[ColumnSchema, ...]:
@@ -242,11 +255,14 @@ def _parse_schema(section: Any, where: str) -> tuple[ColumnSchema, ...]:
                 _reject_unknown(value, ("role", "encoding"), entry)
                 if "role" not in value:
                     raise ConfigError(f"{entry} needs a role")
+                encoding = None
+                if "encoding" in value:
+                    encoding = _scalar(value["encoding"], str, f"{entry}.encoding")
                 columns.append(
                     ColumnSchema(
                         name=name,
-                        role=_get(value, "role", str, entry, None),
-                        encoding=_get(value, "encoding", str, entry, None),
+                        role=_scalar(value["role"], str, f"{entry}.role"),
+                        encoding=encoding,
                     )
                 )
         except DataError as exc:
@@ -261,66 +277,9 @@ def _parse_schema(section: Any, where: str) -> tuple[ColumnSchema, ...]:
 def _parse_engineered(section: Any, where: str) -> tuple[EngineeredFeature, ...]:
     if not isinstance(section, list):
         raise ConfigError(f"{where} must be a list")
-    out = []
-    for i, item in enumerate(section):
-        entry = f"{where}[{i}]"
-        item = _expect_mapping(item, entry)
-        _reject_unknown(item, ("source", "transform", "exponent"), entry)
-        for key in ("source", "transform"):
-            if key not in item:
-                raise ConfigError(f"{entry} needs {key!r}")
-        try:
-            out.append(
-                EngineeredFeature(
-                    source=_get(item, "source", str, entry, None),
-                    transform=_get(item, "transform", str, entry, None),
-                    exponent=_get(item, "exponent", float, entry, None),
-                )
-            )
-        except DataError as exc:
-            raise ConfigError(f"{entry}: {exc}") from exc
-    return tuple(out)
-
-
-def _parse_rfe(section: Any, where: str) -> RfeOptions:
-    section = _expect_mapping(section, where)
-    _reject_unknown(section, ("keep_threshold", "step", "n_trees", "max_depth"), where)
-    return _checked(
-        RfeOptions,
-        where,
-        keep_threshold=_get(section, "keep_threshold", float, where, 0.025),
-        step=_get(section, "step", int, where, 1),
-        n_trees=_get(section, "n_trees", int, where, 30),
-        max_depth=_get(section, "max_depth", int, where, None, nullable=True),
-    )
-
-
-def _parse_preprocess(section: Any, where: str) -> PreprocessOptions:
-    section = _expect_mapping(section, where)
-    allowed = (
-        "test_fraction",
-        "dedup",
-        "scale",
-        "correlation_threshold",
-        "engineered",
-        "rfe",
-    )
-    _reject_unknown(section, allowed, where)
-    engineered: tuple[EngineeredFeature, ...] = ()
-    if "engineered" in section:
-        engineered = _parse_engineered(section["engineered"], f"{where}.engineered")
-    rfe = RfeOptions()
-    if "rfe" in section:
-        rfe = _parse_rfe(section["rfe"], f"{where}.rfe")
-    return _checked(
-        PreprocessOptions,
-        where,
-        test_fraction=_get(section, "test_fraction", float, where, 0.2),
-        dedup=_get(section, "dedup", bool, where, True),
-        scale=_get(section, "scale", bool, where, True),
-        correlation_threshold=_get(section, "correlation_threshold", float, where, 0.7),
-        engineered=engineered,
-        rfe=rfe,
+    return tuple(
+        _parse_section(EngineeredFeature, item, f"{where}[{i}]")
+        for i, item in enumerate(section)
     )
 
 
@@ -351,13 +310,14 @@ def _parse_models(section: Any, where: str) -> dict[str, dict[str, list]]:
     return models
 
 
-def _parse_cv(section: Any, where: str) -> CvOptions:
-    section = _expect_mapping(section, where)
-    _reject_unknown(section, ("k", "models"), where)
-    models: dict[str, dict[str, list]] = {}
-    if "models" in section:
-        models = _parse_models(section["models"], f"{where}.models")
-    return _checked(CvOptions, where, k=_get(section, "k", int, where, 10), models=models)
+def _parse_class_pair(value: Any, where: str) -> tuple[str, str]:
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or not all(isinstance(v, str) for v in value)
+    ):
+        raise ConfigError(f"{where} must be a list of two class names")
+    return (value[0], value[1])
 
 
 def _parse_feature_list(value: Any, where: str) -> tuple[str, ...]:
@@ -366,69 +326,48 @@ def _parse_feature_list(value: Any, where: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _checked(options: type, where: str, **values):
-    """Build an options dataclass, naming the section in any value error."""
+# Keys whose values are structured, each with its own parser; every other
+# key is a scalar checked against its field's type, or a nested section.
+_HOOKS = {
+    "input": _parse_path,
+    "output": _parse_path,
+    "schema": _parse_schema,
+    "engineered": _parse_engineered,
+    "models": _parse_models,
+    "classes": _parse_class_pair,
+    "features": _parse_feature_list,
+}
+
+
+def _parse_section(options: type, section: Any, where: str):
+    """Build an options dataclass from one mapping of the document.
+
+    The allowed keys, the required ones and the defaults come from the
+    dataclass's fields, and each scalar's type from its annotation. A value
+    error from the dataclass's own checks names the section.
+    """
+    section = _expect_mapping(section, where)
+    names = tuple(f.name for f in fields(options))
+    _reject_unknown(section, names, where)
+    for f in fields(options):
+        if f.name not in section and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} needs {f.name!r}")
+    hints = get_type_hints(options)
+    values = {}
+    for key in names:
+        if key not in section:
+            continue
+        entry = f"{where}.{key}"
+        if key in _HOOKS:
+            values[key] = _HOOKS[key](section[key], entry)
+        elif is_dataclass(hints[key]):
+            values[key] = _parse_section(hints[key], section[key], entry)
+        else:
+            values[key] = _scalar(section[key], hints[key], entry)
     try:
         return options(**values)
-    except ConfigError as exc:
+    except (ConfigError, DataError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_density(section: Any, where: str) -> DensityOptions:
-    section = _expect_mapping(section, where)
-    _reject_unknown(section, ("policy", "grid_size", "features"), where)
-    features = None
-    if "features" in section:
-        features = _parse_feature_list(section["features"], f"{where}.features")
-    return _checked(
-        DensityOptions,
-        where,
-        policy=_get(section, "policy", str, where, "scott"),
-        grid_size=_get(section, "grid_size", int, where, 512),
-        features=features,
-    )
-
-
-def _parse_wy(section: Any, where: str) -> WyOptions:
-    section = _expect_mapping(section, where)
-    allowed = (
-        "classes",
-        "permutations",
-        "alpha",
-        "bandwidth",
-        "grid_size",
-        "cv_candidates",
-        "cv_folds",
-        "refit_bandwidths",
-        "features",
-    )
-    _reject_unknown(section, allowed, where)
-    classes = None
-    if "classes" in section:
-        value = section["classes"]
-        if (
-            not isinstance(value, list)
-            or len(value) != 2
-            or not all(isinstance(v, str) for v in value)
-        ):
-            raise ConfigError(f"{where}.classes must be a list of two class names")
-        classes = (value[0], value[1])
-    features = None
-    if "features" in section:
-        features = _parse_feature_list(section["features"], f"{where}.features")
-    return _checked(
-        WyOptions,
-        where,
-        classes=classes,
-        permutations=_get(section, "permutations", int, where, 1000),
-        alpha=_get(section, "alpha", float, where, 0.05),
-        bandwidth=_get(section, "bandwidth", str, where, "cv"),
-        grid_size=_get(section, "grid_size", int, where, 512),
-        cv_candidates=_get(section, "cv_candidates", int, where, 10),
-        cv_folds=_get(section, "cv_folds", int, where, 3),
-        refit_bandwidths=_get(section, "refit_bandwidths", bool, where, True),
-        features=features,
-    )
 
 
 def parse_config(doc: Any, base_dir: Path | None = None) -> RunConfig:
@@ -437,54 +376,11 @@ def parse_config(doc: Any, base_dir: Path | None = None) -> RunConfig:
     Relative input/output paths are resolved against base_dir (the config
     file's directory) when given.
     """
-    doc = _expect_mapping(doc, "config")
-    allowed = (
-        "input",
-        "output",
-        "seed",
-        "threads",
-        "schema",
-        "preprocess",
-        "cv",
-        "density",
-        "wy",
-    )
-    _reject_unknown(doc, allowed, "config")
-    for key in ("input", "schema"):
-        if key not in doc:
-            raise ConfigError(f"config needs {key!r}")
-
-    def _path(raw: str) -> Path:
-        p = Path(raw)
-        if base_dir is not None and not p.is_absolute():
-            p = base_dir / p
-        return p
-
-    seed = _get(doc, "seed", int, "config", 0)
-    threads = _get(doc, "threads", int, "config", 1)
-    if seed < 0:
-        raise ConfigError(f"config.seed must be >= 0, got {seed}")
-    if threads < 1:
-        raise ConfigError(f"config.threads must be >= 1, got {threads}")
-    return RunConfig(
-        input=_path(_get(doc, "input", str, "config", None)),
-        output=_path(_get(doc, "output", str, "config", "out")),
-        schema=_parse_schema(doc["schema"], "config.schema"),
-        seed=seed,
-        threads=threads,
-        preprocess=(
-            _parse_preprocess(doc["preprocess"], "config.preprocess")
-            if "preprocess" in doc
-            else PreprocessOptions()
-        ),
-        cv=_parse_cv(doc["cv"], "config.cv") if "cv" in doc else CvOptions(),
-        density=(
-            _parse_density(doc["density"], "config.density")
-            if "density" in doc
-            else DensityOptions()
-        ),
-        wy=_parse_wy(doc["wy"], "config.wy") if "wy" in doc else WyOptions(),
-    )
+    cfg = _parse_section(RunConfig, doc, "config")
+    if base_dir is None:
+        return cfg
+    # joining keeps an absolute path as it is
+    return replace(cfg, input=base_dir / cfg.input, output=base_dir / cfg.output)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -521,74 +417,19 @@ def apply_overrides(
 ) -> RunConfig:
     """Overlay command-line flag values onto a loaded config.
 
-    The wy options are checked again with the flag values in place.
+    The flag values pass the same checks as the config's own values.
     """
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {seed}")
-        cfg = replace(cfg, seed=seed)
-    if out is not None:
-        cfg = replace(cfg, output=Path(out))
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {threads}")
-        cfg = replace(cfg, threads=threads)
-    wy = cfg.wy
-    if classes is not None:
-        wy = replace(wy, classes=classes)
-    if permutations is not None:
-        wy = replace(wy, permutations=permutations)
-    if bandwidth is not None:
-        wy = replace(wy, bandwidth=bandwidth)
-    if alpha is not None:
-        wy = replace(wy, alpha=alpha)
-    if wy is not cfg.wy:
-        cfg = replace(cfg, wy=wy)
-    return cfg
+    def given(**flags) -> dict:
+        return {key: value for key, value in flags.items() if value is not None}
+
+    wy = replace(
+        cfg.wy,
+        **given(classes=classes, permutations=permutations, bandwidth=bandwidth, alpha=alpha),
+    )
+    output = None if out is None else Path(out)
+    return replace(cfg, wy=wy, **given(seed=seed, output=output, threads=threads))
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """JSON-serializable echo of the effective configuration."""
-    return {
-        "input": str(cfg.input),
-        "output": str(cfg.output),
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-        "schema": [
-            {"name": c.name, "role": c.role, "encoding": c.encoding}
-            for c in cfg.schema
-        ],
-        "preprocess": {
-            "test_fraction": cfg.preprocess.test_fraction,
-            "dedup": cfg.preprocess.dedup,
-            "scale": cfg.preprocess.scale,
-            "correlation_threshold": cfg.preprocess.correlation_threshold,
-            "engineered": [
-                {"source": e.source, "transform": e.transform, "exponent": e.exponent}
-                for e in cfg.preprocess.engineered
-            ],
-            "rfe": {
-                "keep_threshold": cfg.preprocess.rfe.keep_threshold,
-                "step": cfg.preprocess.rfe.step,
-                "n_trees": cfg.preprocess.rfe.n_trees,
-                "max_depth": cfg.preprocess.rfe.max_depth,
-            },
-        },
-        "cv": {"k": cfg.cv.k, "models": cfg.cv.models},
-        "density": {
-            "policy": cfg.density.policy,
-            "grid_size": cfg.density.grid_size,
-            "features": list(cfg.density.features) if cfg.density.features else None,
-        },
-        "wy": {
-            "classes": list(cfg.wy.classes) if cfg.wy.classes else None,
-            "permutations": cfg.wy.permutations,
-            "alpha": cfg.wy.alpha,
-            "bandwidth": cfg.wy.bandwidth,
-            "grid_size": cfg.wy.grid_size,
-            "cv_candidates": cfg.wy.cv_candidates,
-            "cv_folds": cfg.wy.cv_folds,
-            "refit_bandwidths": cfg.wy.refit_bandwidths,
-            "features": list(cfg.wy.features) if cfg.wy.features else None,
-        },
-    }
+    return asdict(cfg) | {"input": str(cfg.input), "output": str(cfg.output)}

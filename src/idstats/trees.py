@@ -745,6 +745,9 @@ def rfe(
         raise DataError("rfe needs a 2-D matrix with at least 2 features")
     if step < 1:
         raise DataError("step must be >= 1")
+    # importances sum to 1, so a threshold above 1 would select nothing
+    if not 0.0 <= keep_threshold <= 1.0:
+        raise DataError(f"keep_threshold must be in [0, 1], got {keep_threshold}")
     if model_spec is None:
         model_spec = ModelSpec("forest", {"n_trees": 30})
     names = (

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
 
-from idstats.config import apply_overrides, parse_config
+from idstats.config import apply_overrides, config_echo, parse_config
 from idstats.errors import ConfigError
 
 
@@ -87,6 +90,8 @@ def test_cv_grids_reject_values_of_the_wrong_kind(family, key, bad):
         ("wy", "classes", ["A", "A"], "distinct"),
         ("density", "policy", "foo", "policy"),
         ("density", "grid_size", 1, "grid_size"),
+        ("density", "features", [], "features"),
+        ("wy", "features", [], "features"),
     ],
 )
 def test_wy_and_density_values_are_rejected_at_parse_time(section, key, bad, message):
@@ -141,9 +146,168 @@ def test_wy_values_need_no_class_pair_until_the_stage_runs():
         ({"alpha": 2.0}, "alpha"),
         ({"bandwidth": "foo"}, "policy"),
         ({"classes": ("A", "A")}, "distinct"),
+        ({"seed": -1}, "seed"),
+        ({"threads": 0}, "threads"),
     ],
 )
 def test_overrides_are_checked_like_the_config(override, message):
     cfg = parse_config(doc(wy={"classes": ["A", "B"]}))
     with pytest.raises(ConfigError, match=message):
         apply_overrides(cfg, **override)
+
+
+def _report_text(echo: dict) -> str:
+    # report.json is written with sorted keys, so key order does not matter,
+    # but 1 and 1.0 do
+    return json.dumps(echo, sort_keys=True, indent=1)
+
+
+def test_default_document_echo():
+    expected = {
+        "input": "flows.csv",
+        "output": "out",
+        "seed": 0,
+        "threads": 1,
+        "schema": [
+            {"name": "x", "role": "numeric", "encoding": None},
+            {"name": "y", "role": "label", "encoding": None},
+        ],
+        "preprocess": {
+            "test_fraction": 0.2,
+            "dedup": True,
+            "scale": True,
+            "correlation_threshold": 0.7,
+            "engineered": [],
+            "rfe": {"keep_threshold": 0.025, "step": 1, "n_trees": 30, "max_depth": None},
+        },
+        "cv": {"k": 10, "models": {}},
+        "density": {"policy": "scott", "grid_size": 512, "features": None},
+        "wy": {
+            "classes": None,
+            "permutations": 1000,
+            "alpha": 0.05,
+            "bandwidth": "cv",
+            "grid_size": 512,
+            "cv_candidates": 10,
+            "cv_folds": 3,
+            "refit_bandwidths": True,
+            "features": None,
+        },
+    }
+    assert _report_text(config_echo(parse_config(doc()))) == _report_text(expected)
+
+
+EVERY_FIELD = {
+    "input": "/data/flows.csv",
+    "output": "/data/results",
+    "seed": 7,
+    "threads": 3,
+    "schema": {
+        "proto": {"role": "categorical", "encoding": "dummy"},
+        "rate": "numeric",
+        "junk": {"role": "drop"},
+        "label": "label",
+    },
+    "preprocess": {
+        "test_fraction": 0.3,
+        "dedup": False,
+        "scale": False,
+        "correlation_threshold": 1,
+        "engineered": [
+            {"source": "rate", "transform": "power", "exponent": 2},
+            {"source": "rate", "transform": "reciprocal"},
+        ],
+        "rfe": {"keep_threshold": 0, "step": 2, "n_trees": 5, "max_depth": 4},
+    },
+    "cv": {
+        "k": 5,
+        "models": {
+            "forest": {"n_trees": [5, 10], "max_features": ["sqrt", None]},
+            "majority": {"seed": [1]},
+        },
+    },
+    "density": {"policy": "silverman", "grid_size": 64, "features": ["rate"]},
+    "wy": {
+        "classes": ["A", "B"],
+        "permutations": 99,
+        "alpha": 0.1,
+        "bandwidth": "scott",
+        "grid_size": 128,
+        "cv_candidates": 4,
+        "cv_folds": 2,
+        "refit_bandwidths": False,
+        "features": ["rate", "proto_tcp"],
+    },
+}
+
+
+def test_every_field_document_echo():
+    expected = {
+        "input": "/data/flows.csv",
+        "output": "/data/results",
+        "seed": 7,
+        "threads": 3,
+        "schema": [
+            {"name": "proto", "role": "categorical", "encoding": "dummy"},
+            {"name": "rate", "role": "numeric", "encoding": None},
+            {"name": "junk", "role": "drop", "encoding": None},
+            {"name": "label", "role": "label", "encoding": None},
+        ],
+        "preprocess": {
+            "test_fraction": 0.3,
+            "dedup": False,
+            "scale": False,
+            # integers are widened where the option is a float
+            "correlation_threshold": 1.0,
+            "engineered": [
+                {"source": "rate", "transform": "power", "exponent": 2.0},
+                {"source": "rate", "transform": "reciprocal", "exponent": None},
+            ],
+            "rfe": {"keep_threshold": 0.0, "step": 2, "n_trees": 5, "max_depth": 4},
+        },
+        "cv": {
+            "k": 5,
+            "models": {
+                "forest": {"n_trees": [5, 10], "max_features": ["sqrt", None]},
+                "majority": {"seed": [1]},
+            },
+        },
+        "density": {"policy": "silverman", "grid_size": 64, "features": ["rate"]},
+        "wy": {
+            "classes": ["A", "B"],
+            "permutations": 99,
+            "alpha": 0.1,
+            "bandwidth": "scott",
+            "grid_size": 128,
+            "cv_candidates": 4,
+            "cv_folds": 2,
+            "refit_bandwidths": False,
+            "features": ["rate", "proto_tcp"],
+        },
+    }
+    assert _report_text(config_echo(parse_config(EVERY_FIELD))) == _report_text(expected)
+
+
+@pytest.mark.parametrize(
+    "path, where",
+    [
+        ((), "config"),
+        (("preprocess",), "config.preprocess"),
+        (("preprocess", "rfe"), "config.preprocess.rfe"),
+        (("cv",), "config.cv"),
+        (("density",), "config.density"),
+        (("wy",), "config.wy"),
+        (("schema", "proto"), "config.schema.proto"),
+        (("preprocess", "engineered", 0), "config.preprocess.engineered[0]"),
+        (("cv", "models", "forest"), "config.cv.models.forest"),
+    ],
+)
+def test_unknown_keys_are_rejected_with_their_path(path, where):
+    document = json.loads(json.dumps(EVERY_FIELD))
+    section = document
+    for step in path:
+        section = section[step]
+    section["bogus"] = [1]
+    message = f"unknown key(s) in {where}: 'bogus'"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(document)

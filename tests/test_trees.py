@@ -748,3 +748,12 @@ def test_importances_add_the_gains_in_a_fixed_order():
     ):
         expected = _reference_importance(grown, X.shape[1])
         assert impurity_importance(model).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("threshold", [-0.1, 1.5])
+def test_rfe_rejects_a_keep_threshold_outside_zero_one(threshold):
+    # importances sum to 1, so a threshold above 1 would select nothing
+    X = np.random.default_rng(0).normal(size=(40, 3))
+    y = np.arange(40) % 2
+    with pytest.raises(DataError, match="keep_threshold"):
+        trees.rfe(X, y, keep_threshold=threshold)
