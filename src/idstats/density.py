@@ -35,6 +35,15 @@ _FAST_BINS_PER_BANDWIDTH = 16
 _FAST_GRID_CAP = 1 << 17
 _KERNEL_REACH = 8.0
 
+# grid_density bins the sample at this many fine nodes per bandwidth or more.
+_GRID_BINS_PER_BANDWIDTH = 256
+# The binned grid path runs when nfft * bit_length(nfft) is below this many
+# times the exact path's n * points kernel terms: one exact term costs about
+# as much as two such steps of an rfft/irfft pair plus the kernel's rfft.
+_FFT_STEPS_PER_TERM = 2
+
+DEFAULT_CV_FOLDS = 5
+
 # Largest work matrix of the exact sums, in float64 elements.
 _EXACT_BLOCK = 4_000_000
 
@@ -216,7 +225,7 @@ def _binned_cv_scores(
 def cv_bandwidth(
     x: np.ndarray,
     candidates: np.ndarray | None = None,
-    folds: int = 5,
+    folds: int = DEFAULT_CV_FOLDS,
     seed: int | list[int] = 0,
 ) -> float:
     """Pick the candidate bandwidth maximizing mean held-out log-likelihood.
@@ -285,7 +294,7 @@ def bandwidth_for(
     policy: str,
     seed: int | list[int] = 0,
     candidates: np.ndarray | None = None,
-    folds: int = 5,
+    folds: int = DEFAULT_CV_FOLDS,
 ) -> float:
     """Bandwidth under the named policy: scott, silverman, or cv."""
     if policy == "scott":
@@ -302,7 +311,7 @@ def fit_kde(
     policy: str = "scott",
     seed: int | list[int] = 0,
     candidates: np.ndarray | None = None,
-    folds: int = 5,
+    folds: int = DEFAULT_CV_FOLDS,
     bandwidth: float | None = None,
 ) -> KdeModel:
     """Fit a KDE under a bandwidth policy, or with an explicit bandwidth."""
@@ -321,13 +330,28 @@ def kde_eval(model: KdeModel, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvalGrid:
-    """Uniformly spaced, strictly increasing evaluation points."""
+    """Uniformly spaced, strictly increasing evaluation points.
+
+    Rejects fewer than 2 points, and points that are not finite, not strictly
+    increasing, or off the uniform spacing through the end points by more
+    than 1e-9 of the span plus 4 ulps of the larger end (np.linspace output
+    is well inside that).
+    """
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.points.size < 2:
+        x = self.points
+        if x.size < 2:
             raise DataError("EvalGrid needs at least 2 points")
+        if not np.all(np.isfinite(x)):
+            raise DataError("EvalGrid points must be finite")
+        if not np.all(np.diff(x) > 0.0):
+            raise DataError("EvalGrid points must be strictly increasing")
+        lo, hi = float(x[0]), float(x[-1])
+        tol = 1e-9 * (hi - lo) + 4.0 * float(np.spacing(max(abs(lo), abs(hi))))
+        if np.max(np.abs(x - np.linspace(lo, hi, x.size))) > tol:
+            raise DataError("EvalGrid points must be uniformly spaced")
 
     @property
     def spacing(self) -> float:
@@ -343,15 +367,82 @@ def make_grid(
 ) -> EvalGrid:
     """Shared uniform grid covering every sample, padded by 5 * bandwidth.
 
-    Pass the largest bandwidth of the densities the grid will carry.
+    Pass the largest bandwidth of the densities the grid will carry; it must
+    be finite and > 0. Every sample lies inside the grid, so grid_density
+    can take its binned path on it.
     """
     samples = [np.asarray(s, dtype=np.float64) for s in samples]
     if not samples or any(s.size == 0 for s in samples):
         raise DataError("make_grid needs non-empty sample sets")
+    if not (math.isfinite(bandwidth) and bandwidth > 0.0):
+        raise DataError(f"make_grid bandwidth must be finite and > 0, got {bandwidth}")
     pad = GRID_PAD_BANDWIDTHS * bandwidth
     lo = min(float(s.min()) for s in samples) - pad
     hi = max(float(s.max()) for s in samples) + pad
     return EvalGrid(points=np.linspace(lo, hi, n_points))
+
+
+def _binned_layout(n_points: int, spacing: float, h: float) -> tuple[int, int, int] | None:
+    """(refine, radius, nfft) of grid_density's binned path, or None.
+
+    The grid is refined `refine`-fold, to a fine spacing of at most h / 256,
+    so every refine-th fine node is a grid point. The kernel has `radius`
+    taps a side: 8 bandwidths, or the grid's span if that is shorter, since
+    no sample and no point lies beyond it. nfft is the power of two above
+    fine nodes + 2 * radius, so the circular convolution never wraps onto a
+    grid point. None when the refinement does not fit in a float.
+    """
+    ratio = _GRID_BINS_PER_BANDWIDTH * spacing / h
+    if not math.isfinite(ratio):
+        return None
+    refine = max(1, math.ceil(ratio))
+    fine = (n_points - 1) * refine + 1
+    radius = math.ceil(min(_KERNEL_REACH * h * refine / spacing, fine - 1))
+    return refine, radius, 1 << (fine + 2 * radius).bit_length()
+
+
+def _binned_is_cheaper(n: int, n_points: int, nfft: int) -> bool:
+    """Whether one FFT convolution of length nfft costs less than the exact
+    path's n * n_points kernel terms."""
+    return nfft * nfft.bit_length() < _FFT_STEPS_PER_TERM * n * n_points
+
+
+def grid_density(model: KdeModel, grid: EvalGrid) -> np.ndarray:
+    """The KDE at every grid point, by binned FFT convolution or exact sums.
+
+    The binned path spreads the sample linearly over a refinement of the grid
+    with at least 256 nodes per bandwidth, where every refine-th node is a
+    grid point, so nothing is interpolated. It convolves the bins with the
+    Gaussian cut at 8 bandwidths by one rfft/irfft pair and clips FFT
+    round-off below 0 (binned KDE: Silverman 1982, AS 176; Wand 1994). On the
+    test fixtures it is within 1e-5 of the exact density's peak, and JS
+    distances from it within 1e-6 of exact ones.
+
+    The exact sums of kde_eval run instead when a sample lies outside the
+    grid, or when they cost less than the FFT (_binned_is_cheaper: few
+    samples, or a bandwidth small against the grid spacing).
+    """
+    x, h = model.samples, model.bandwidth
+    lo, hi = float(grid.points[0]), float(grid.points[-1])
+    layout = _binned_layout(grid.size, grid.spacing, h)
+    if (
+        layout is None
+        or not _binned_is_cheaper(x.size, grid.size, layout[2])
+        or float(x.min()) < lo
+        or float(x.max()) > hi
+    ):
+        return _exact_density(x, grid.points, h)
+    refine, radius, nfft = layout
+    fine = (grid.size - 1) * refine + 1
+    step = (hi - lo) / (fine - 1)
+    half = np.exp(-0.5 * (step / h * np.arange(radius + 1)) ** 2)
+    kernel = np.zeros(nfft)
+    kernel[: radius + 1] = half
+    kernel[nfft - radius :] = half[:0:-1]
+    hist = _linear_bin(x, lo, step, fine)
+    dens = np.fft.irfft(np.fft.rfft(hist, nfft) * np.fft.rfft(kernel), nfft)
+    dens = np.maximum(dens[:fine:refine], 0.0)
+    return dens / (x.size * h * _SQRT_2PI)
 
 
 @dataclass(frozen=True)
@@ -368,9 +459,10 @@ class DensityPair:
 
 
 def to_mass_pair(kde_a: KdeModel, kde_b: KdeModel, grid: EvalGrid) -> DensityPair:
-    """Evaluate both KDEs on the grid and renormalize each to unit mass."""
-    p = kde_eval(kde_a, grid.points)
-    q = kde_eval(kde_b, grid.points)
+    """Evaluate both KDEs on the grid (grid_density) and renormalize each to
+    unit mass."""
+    p = grid_density(kde_a, grid)
+    q = grid_density(kde_b, grid)
     sp, sq = float(p.sum()), float(q.sum())
     if not (math.isfinite(sp) and math.isfinite(sq)) or sp <= 0.0 or sq <= 0.0:
         raise DataError("to_mass_pair: density sums to zero on the grid")
@@ -462,11 +554,21 @@ def shape_summary(
     """Box-plot statistics plus a KDE curve per class, all on one grid.
 
     Classes absent from the table are skipped with a warning; single-row
-    classes get the degenerate fallback bandwidth.
+    classes get the degenerate fallback bandwidth. Under ``policy="cv"`` a
+    class of 2 to DEFAULT_CV_FOLDS - 1 rows is a DataError, raised before any
+    bandwidth or density is computed. The curves come from grid_density.
     """
     x_all = table.column(feature).astype(np.float64, copy=False)
     if x_all.size == 0:
         raise DataError(f"shape_summary: feature {feature!r} has no rows")
+    if policy == "cv":
+        for class_id, count in enumerate(table.class_counts()):
+            if 1 < count < DEFAULT_CV_FOLDS:
+                raise DataError(
+                    f"shape_summary: feature {feature!r}, class "
+                    f"{table.vocabulary.name_of(class_id)!r} has {count} rows; "
+                    f"bandwidth cv needs at least {DEFAULT_CV_FOLDS} (its folds)"
+                )
     per_class: list[tuple[str, np.ndarray, float]] = []
     for class_id in range(table.vocabulary.n_classes):
         name = table.vocabulary.name_of(class_id)
@@ -500,7 +602,7 @@ def shape_summary(
                 maximum=float(x.max()),
                 outliers=int(iqr_outlier_mask(x).sum()),
                 bandwidth=h,
-                density=kde_eval(model, grid.points),
+                density=grid_density(model, grid),
             )
         )
     return ShapeSummary(feature=feature, grid=grid, classes=shapes)

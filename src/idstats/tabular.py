@@ -279,17 +279,26 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
 
 
 def dedup(t: ColumnTable) -> ColumnTable:
-    """Keep the first occurrence of rows identical across all columns and label."""
-    seen: set[tuple] = set()
-    keep: list[int] = []
-    cols = list(t.columns.values())
-    for i in range(t.n_rows):
-        key = tuple(col[i] for col in cols) + (int(t.labels[i]),)
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    out = t.select_rows(np.asarray(keep, dtype=np.int64))
-    out.meta["duplicate_rows"] = t.n_rows - len(keep)
+    """Keep the first occurrence of rows identical across all columns and label.
+
+    Cells compare by ``==``: -0.0 equals 0.0, categorical cells compare as
+    strings, and a row holding a NaN equals no other row. Each column is
+    coded by np.unique and folded into one row key, column by column.
+    """
+    key = np.array(t.labels, dtype=np.int64)
+    unmatched = np.zeros(t.n_rows, dtype=bool)
+    for col in t.columns.values():
+        if col.dtype.kind == "f":
+            unmatched |= np.isnan(col)
+        elif col.dtype.kind not in "biu":
+            col = col.astype(str)
+        _, codes = np.unique(col, return_inverse=True)
+        _, key = np.unique(key * (int(codes.max(initial=0)) + 1) + codes, return_inverse=True)
+    key[unmatched] = key.size + np.flatnonzero(unmatched)
+    _, first = np.unique(key, return_index=True)
+    keep = np.sort(first)
+    out = t.select_rows(keep)
+    out.meta["duplicate_rows"] = t.n_rows - keep.size
     return out
 
 

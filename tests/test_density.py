@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from idstats.density import (
     EvalGrid,
     cv_bandwidth,
     default_cv_candidates,
+    KdeModel,
     fit_kde,
+    grid_density,
     js_distance,
     js_distance_from_masses,
     kde_eval,
@@ -254,6 +257,39 @@ def test_make_grid_pads_by_five_bandwidths():
         make_grid([np.array([]), np.array([1.0])], 0.1)
 
 
+@pytest.mark.parametrize("bandwidth", [-1.0, 0.0, math.nan, math.inf])
+def test_make_grid_rejects_a_bad_bandwidth(bandwidth):
+    with pytest.raises(DataError, match="bandwidth"):
+        make_grid([np.array([1.0, 2.0])], bandwidth)
+
+
+@pytest.mark.parametrize(
+    "points, why",
+    [
+        ([0.0, 2.0, 1.0, 5.0], "increasing"),
+        ([0.0, 1.0, 1.0, 2.0], "increasing"),
+        ([3.0, 2.0, 1.0], "increasing"),
+        ([0.0, 1.0, 3.0, 4.0], "uniformly"),
+        ([0.0, 1.0, 2.0 + 1e-6, 3.0], "uniformly"),
+        ([0.0, math.nan, 2.0], "finite"),
+        ([0.0, 1.0, math.inf], "finite"),
+        ([1.0], "at least 2"),
+    ],
+)
+def test_eval_grid_rejects_points_its_docstring_excludes(points, why):
+    with pytest.raises(DataError, match=why):
+        EvalGrid(points=np.array(points))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, n", [(-2.5, 5.5, 8), (1e6, 1e6 + 1e-3, 512), (-3e-7, 4e-7, 1024), (0.0, 1.0, 2)]
+)
+def test_eval_grid_accepts_linspace_and_arange_grids(lo, hi, n):
+    EvalGrid(points=np.linspace(lo, hi, n))
+    EvalGrid(points=lo + (hi - lo) / (n - 1) * np.arange(n))
+    EvalGrid(points=np.arange(0.0, 1.0, 0.1))
+
+
 def test_to_mass_pair_renormalizes():
     a = fit_kde(np.random.default_rng(1).normal(0, 1, 100), policy="scott")
     b = fit_kde(np.random.default_rng(2).normal(4, 1, 100), policy="scott")
@@ -405,3 +441,190 @@ def test_kde_eval_matches_scipy_gaussian_kde(h):
     reference = stats.gaussian_kde(samples, bw_method=h / samples.std(ddof=1))
     ours = kde_eval(fit_kde(samples, bandwidth=h), points)
     np.testing.assert_allclose(ours, reference(points), rtol=1e-10, atol=0.0)
+
+
+def test_shape_summary_under_cv_names_a_class_too_small_for_its_folds(monkeypatch):
+    rng = np.random.default_rng(22)
+    cols = {"speed": np.concatenate([rng.normal(0.0, 1.0, 40), [1.0, 2.0, 4.0], [3.0]])}
+    labels = np.repeat([0, 1, 2], [40, 3, 1])
+    table = ColumnTable(cols, labels, LabelVocabulary(names=("calm", "burst", "lone")))
+    called = []
+    monkeypatch.setattr(density, "cv_bandwidth", lambda *a, **k: called.append(1))
+    with pytest.raises(DataError) as err:
+        shape_summary(table, "speed", policy="cv")
+    message = str(err.value)
+    for part in ("'speed'", "'burst'", "3 rows", "at least 5"):
+        assert part in message
+    assert not called  # raised before any bandwidth or density was computed
+
+    # the one-row class keeps its fallback bandwidth under cv
+    monkeypatch.undo()
+    kept = labels != 1
+    table = ColumnTable(
+        {"speed": cols["speed"][kept]}, labels[kept], table.vocabulary
+    )
+    with pytest.warns(DataQualityWarning):
+        summary = shape_summary(table, "speed", policy="cv")
+    lone = summary.classes[-1]
+    assert lone.class_name == "lone" and lone.bandwidth == pytest.approx(3e-3)
+
+
+# grid_density: the binned FFT path against the exact sums
+
+
+def sweep_sample(kind, n, rng):
+    if kind == "heavy_tailed_gamma":
+        return rng.gamma(0.5, 2.0, n)
+    if kind == "integer_counts_with_ties":
+        return rng.poisson(3.0, n).astype(np.float64)
+    if kind == "bounded_bimodal_beta":  # the bench xfail's sample at n = 4800
+        return np.concatenate([rng.beta(6.0, 4.0, n // 2), rng.beta(1.6, 12.0, n - n // 2)])
+    return rng.lognormal(0.0, 1.2, n)
+
+
+SWEEP_CASES = [
+    (n, 512, ratio) for n in (2, 30, 1000, 4800, 10_000) for ratio in (1 / 30, 1.0, 30.0)
+] + [(4800, points, 1.0) for points in (2, 3, 64, 1024)] + [
+    (10_000, 1024, 30.0), (1000, 64, 1 / 30), (2400, 512, 0.1),
+]
+
+
+def exact_masses(models, grid):
+    out = []
+    for model in models:
+        d = density._exact_density(model.samples, grid.points, model.bandwidth)
+        out.append(d / d.sum())
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["heavy_tailed_gamma", "integer_counts_with_ties", "bounded_bimodal_beta", "lognormal"],
+)
+def test_grid_density_matches_the_exact_sums(kind):
+    rng = np.random.default_rng(41)
+    binned = 0
+    for n, points, ratio in SWEEP_CASES:
+        xa, xb = sweep_sample(kind, n, rng), 1.3 * sweep_sample(kind, n, rng) + 0.2
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DataQualityWarning)
+            a = KdeModel(xa, ratio * scott_bandwidth(xa), "scott")
+            b = KdeModel(xb, scott_bandwidth(xb), "scott")
+        grid = make_grid([xa, xb], max(a.bandwidth, b.bandwidth), points)
+        for model in (a, b):
+            got = grid_density(model, grid)
+            want = density._exact_density(model.samples, grid.points, model.bandwidth)
+            assert np.max(np.abs(got - want)) <= 1e-5 * want.max(), (n, points, ratio)
+            assert np.all(got >= 0.0)
+            layout = density._binned_layout(grid.size, grid.spacing, model.bandwidth)
+            binned += density._binned_is_cheaper(n, points, layout[2])
+        t_exact = js_distance_from_masses(*exact_masses((a, b), grid))
+        assert js_distance(to_mass_pair(a, b, grid)) == pytest.approx(t_exact, abs=1e-6)
+    assert binned >= 12  # the sweep does exercise the binned path
+
+
+def test_binned_cost_rule_is_a_pure_function_of_sizes():
+    rule = density._binned_is_cheaper
+    # 2**14 * 15 = 245760 steps against 2 * 1000 * 512 terms
+    assert rule(1000, 512, 1 << 14)
+    assert not rule(1280, 512, 1 << 17)  # 2359296 steps against 1310720
+    # nfft exceeds the point count, so one sample never pays for an FFT
+    assert not any(rule(1, points, 1 << k) for points in (2, 3, 512)
+                   for k in range(points.bit_length(), 40))
+    assert rule(10**5, 512, 1 << 17) and not rule(10**5, 2, 1 << 17)
+
+
+@pytest.mark.parametrize("n", [1000, 2000, 4800, 10_000])
+@pytest.mark.parametrize("kind", ["normal", "gamma"])
+def test_scott_on_512_points_takes_the_binned_path(n, kind, monkeypatch):
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 1.0, n) if kind == "normal" else rng.gamma(2.0, 1.0, n)
+    model = fit_kde(x, policy="scott")
+    grid = make_grid([x], model.bandwidth, 512)
+    monkeypatch.setattr(density, "_exact_density", None)  # calling it fails
+    assert grid_density(model, grid).size == 512
+
+
+def test_one_row_and_sub_spacing_bandwidths_stay_exact_bit_for_bit():
+    rng = np.random.default_rng(43)
+    one = KdeModel(np.array([2.5]), 3e-3, "scott")
+    grid = make_grid([one.samples, rng.normal(0.0, 1.0, 50)], 1.0, 512)
+    exact = density._exact_density(one.samples, grid.points, one.bandwidth)
+    assert np.array_equal(grid_density(one, grid), exact)
+    # the small-bandwidth sides of a wy cv run: 1280 values, spacing / h in [0.5, 3]
+    x = rng.gamma(2.0, 1.0, 1280)
+    grid = make_grid([x], 1.0, 512)
+    for spacing_over_h in (0.5, 1.0, 3.0):
+        h = grid.spacing / spacing_over_h
+        exact = density._exact_density(x, grid.points, h)
+        assert np.array_equal(grid_density(KdeModel(x, h, "cv"), grid), exact)
+
+
+@pytest.mark.parametrize("side", ["below", "above", "both"])
+def test_samples_outside_a_callers_grid_use_the_exact_sums(side):
+    x = np.random.default_rng(44).normal(0.5, 0.3, 5000)
+    x = {"below": np.minimum(x, 1.0), "above": np.maximum(x, 0.0), "both": x}[side]
+    grid = EvalGrid(points=np.linspace(0.0, 1.0, 512))
+    model = KdeModel(x, 0.05, "fixed")
+    exact = density._exact_density(x, grid.points, model.bandwidth)
+    assert np.array_equal(grid_density(model, grid), exact)
+    inside = KdeModel(np.clip(x, 0.0, 1.0), 0.05, "fixed")
+    got = grid_density(inside, grid)
+    want = density._exact_density(inside.samples, grid.points, inside.bandwidth)
+    assert not np.array_equal(got, want)  # binned
+    assert np.max(np.abs(got - want)) <= 1e-5 * want.max()
+
+
+def test_binned_fft_never_wraps_onto_a_grid_point():
+    for n_points in (2, 3, 64, 512, 1024):
+        for h_over_span in np.geomspace(1e-4, 1e2, 61):
+            spacing = 1.0 / (n_points - 1)
+            refine, radius, nfft = density._binned_layout(n_points, spacing, h_over_span)
+            fine = (n_points - 1) * refine + 1
+            assert spacing / refine <= h_over_span / 256 * (1 + 1e-12)
+            assert radius >= min(8.0 * h_over_span * refine / spacing, fine - 1)
+            assert nfft >= fine + 2 * radius + 1
+
+
+@pytest.mark.parametrize("h", [0.013, 0.05, 0.2])
+def test_samples_on_the_grid_edges_get_no_wrapped_mass(h):
+    # nothing pads the sample away from the ends here, so a short FFT would
+    # fold the mass near one end onto the other
+    x = np.concatenate([[0.0, 1.0], np.random.default_rng(47).beta(0.3, 0.3, 20_000)])
+    grid = EvalGrid(points=np.linspace(0.0, 1.0, 512))
+    got = grid_density(KdeModel(x, h, "fixed"), grid)
+    want = density._exact_density(x, grid.points, h)
+    assert not np.array_equal(got, want)  # binned
+    assert np.max(np.abs(got - want)) <= 1e-5 * want.max()
+
+
+@pytest.mark.parametrize(
+    "points, h",
+    [
+        (np.linspace(-1.0, 2.0, 512), 5.0),  # 8 bandwidths reach past the grid
+        (np.array([0.0, 1.0]), 0.5),  # two points
+        (np.array([0.0, 1.0]), 40.0),
+    ],
+)
+def test_wide_kernels_and_two_point_grids_take_the_binned_path(points, h):
+    x = np.random.default_rng(45).uniform(0.0, 1.0, 10_000)
+    grid = EvalGrid(points=points)
+    model = KdeModel(x, h, "fixed")
+    layout = density._binned_layout(grid.size, grid.spacing, h)
+    assert density._binned_is_cheaper(x.size, grid.size, layout[2])
+    got = grid_density(model, grid)
+    want = density._exact_density(x, grid.points, h)
+    assert np.max(np.abs(got - want)) <= 1e-5 * want.max()
+
+
+@pytest.mark.parametrize("ratio", [0.3, 1.0, 3.0])
+def test_grid_density_matches_scipy_gaussian_kde(ratio):
+    stats = pytest.importorskip("scipy.stats")
+    samples = np.random.default_rng(46).gamma(2.0, 1.5, 4000)
+    h = ratio * scott_bandwidth(samples)
+    grid = make_grid([samples], h, 512)
+    layout = density._binned_layout(grid.size, grid.spacing, h)
+    assert density._binned_is_cheaper(samples.size, grid.size, layout[2])
+    reference = stats.gaussian_kde(samples, bw_method=h / samples.std(ddof=1))(grid.points)
+    got = grid_density(KdeModel(samples, h, "fixed"), grid)
+    assert np.max(np.abs(got - reference)) <= 1e-5 * reference.max()

@@ -154,6 +154,80 @@ def test_dedup_keeps_first_occurrence():
     assert dedup(t2).n_rows == 2
 
 
+def dedup_by_tuple_keys(t):
+    """Reference dedup: the row loop over tuple keys that the vectorized
+    dedup replaced. Returns the kept row indices."""
+    seen: set[tuple] = set()
+    keep: list[int] = []
+    cols = list(t.columns.values())
+    for i in range(t.n_rows):
+        key = tuple(col[i] for col in cols) + (int(t.labels[i]),)
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
+    return keep
+
+
+def generated_table(n_rows, seed):
+    rng = np.random.default_rng(seed)
+    rate = rng.integers(0, 4, n_rows).astype(np.float64)
+    rate[rng.random(n_rows) < 0.01] = np.nan
+    return small_table(
+        list(rng.choice(["a", "b", "c"], n_rows)),
+        rate=rate,
+        size=rng.choice([-0.0, 0.0, 1.5], n_rows),
+        port=rng.integers(0, 3, n_rows),
+        proto=np.asarray(rng.choice(["tcp", "udp"], n_rows), dtype=object),
+    )
+
+
+DEDUP_FIXTURES = {
+    "signed_zeros": lambda: small_table(
+        ["a", "a", "a"], x=np.array([-0.0, 0.0, 0.0]), y=np.array([0.0, -0.0, 1.0])
+    ),
+    "duplicated_nan_rows": lambda: small_table(
+        ["a"] * 5,
+        x=np.array([np.nan, np.nan, 1.0, 1.0, 1.0]),
+        y=np.array([2.0, 2.0, np.nan, 3.0, 3.0]),
+    ),
+    "equal_values_under_different_labels": lambda: small_table(
+        ["a", "b", "a", "b", "c"],
+        x=np.full(5, 7.0),
+        flag=np.array(["S", "S", "S", "S", "S"], dtype=object),
+    ),
+    "categorical_strings": lambda: small_table(
+        ["a"] * 5,
+        flag=np.array(["S", "SF", "S", "F", "SF"], dtype=object),
+        port=np.array(["80", "80", "80", "080", "80"]),
+    ),
+    "generated_30k_rows": lambda: generated_table(30_000, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEDUP_FIXTURES))
+def test_dedup_keeps_the_rows_of_the_tuple_key_loop(name):
+    t = DEDUP_FIXTURES[name]()
+    keep = dedup_by_tuple_keys(t)
+    out = dedup(t)
+    assert out.meta["duplicate_rows"] == t.n_rows - len(keep)
+    assert out.labels.tolist() == t.labels[keep].tolist()
+    for column, values in t.columns.items():
+        got, want = out.column(column), values[keep]
+        assert got.dtype == want.dtype
+        if want.dtype == object:
+            assert got.tolist() == want.tolist()
+        else:
+            assert got.tobytes() == want.tobytes()  # -0.0 and NaN bits too
+
+
+def test_dedup_never_merges_a_row_holding_nan():
+    t = DEDUP_FIXTURES["duplicated_nan_rows"]()
+    out = dedup(t)
+    # the two (nan, 2.0) rows stay apart; the two (1.0, 3.0) rows merge
+    assert out.n_rows == 4 and out.meta["duplicate_rows"] == 1
+    assert np.isnan(out.column("x")[:2]).all()
+
+
 def test_dedup_is_idempotent():
     rng = np.random.default_rng(0)
     values = rng.integers(0, 3, size=60).astype(np.float64)
