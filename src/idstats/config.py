@@ -153,6 +153,16 @@ class CvOptions:
             raise ConfigError(f"k must be >= 2, got {self.k}")
 
 
+def _check_features(features: tuple[str, ...] | None) -> None:
+    """An analysis's feature list: null (the selected set) or distinct names."""
+    # an empty list would analyse nothing
+    if features == ():
+        raise ConfigError("features must be a non-empty list of feature names")
+    for i, name in enumerate(features or ()):
+        if name in features[:i]:
+            raise ConfigError(f"features lists {name!r} more than once")
+
+
 @dataclass(frozen=True)
 class DensityOptions:
     """Shape-summary settings; features default to the selected numeric set."""
@@ -166,9 +176,7 @@ class DensityOptions:
             raise ConfigError(f"unknown bandwidth policy {self.policy!r}")
         if self.grid_size < 2:
             raise ConfigError("grid_size must be >= 2")
-        # an empty list would summarize nothing; null means the selected set
-        if self.features == ():
-            raise ConfigError("features must be a non-empty list of feature names")
+        _check_features(self.features)
 
 
 @dataclass(frozen=True)
@@ -184,8 +192,7 @@ class WyOptions:
     features: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.features == ():
-            raise ConfigError("features must be a non-empty list of feature names")
+        _check_features(self.features)
         # WyConfig holds the checks; a stand-in pair is used until --classes
         # supplies the real one.
         self._wy_config(self.classes or ("a", "b"), seed=0)

@@ -285,8 +285,10 @@ class KdeModel:
     def __post_init__(self) -> None:
         if self.samples.size == 0:
             raise DataError("KdeModel needs a non-empty sample")
-        if not self.bandwidth > 0.0:
-            raise DataError(f"KdeModel bandwidth must be > 0, got {self.bandwidth}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0.0):
+            raise DataError(
+                f"KdeModel bandwidth must be finite and > 0, got {self.bandwidth}"
+            )
 
 
 def bandwidth_for(

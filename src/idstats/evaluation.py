@@ -187,14 +187,6 @@ class FoldMetrics:
     f1: float
     roc_auc: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "roc_auc": self.roc_auc,
-        }
-
 
 def _metric_values(metrics: list[FoldMetrics], name: str) -> np.ndarray:
     return np.array([getattr(m, name) for m in metrics], dtype=np.float64)
@@ -211,7 +203,9 @@ class CvReport:
     """Per-fold and aggregate train/test metrics with stability flags.
 
     ``ranges`` and ``stable`` are keyed by split ("train"/"test") then metric;
-    a metric is stable when its fold range is at most STABILITY_RANGE.
+    a metric is stable when its fold range is at most STABILITY_RANGE, and
+    ``stable_overall`` when every held-out metric is. ``asdict`` of a report
+    is its JSON form.
     """
 
     k: int
@@ -221,25 +215,8 @@ class CvReport:
     test_mean: FoldMetrics
     ranges: dict[str, dict[str, float]]
     stable: dict[str, dict[str, bool]]
+    stable_overall: bool
     zero_division_count: int
-
-    @property
-    def stable_overall(self) -> bool:
-        """True when every held-out metric satisfies the range rule."""
-        return all(self.stable["test"].values())
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "train": [m.as_dict() for m in self.train],
-            "test": [m.as_dict() for m in self.test],
-            "train_mean": self.train_mean.as_dict(),
-            "test_mean": self.test_mean.as_dict(),
-            "ranges": self.ranges,
-            "stable": self.stable,
-            "stable_overall": self.stable_overall,
-            "zero_division_count": self.zero_division_count,
-        }
 
 
 def _fold_metrics(y: np.ndarray, proba: np.ndarray) -> tuple[FoldMetrics, int]:
@@ -279,6 +256,7 @@ def _cv_report(k: int, folds: list[_FoldScores]) -> CvReport:
         test_mean=_mean_metrics(test_metrics),
         ranges=ranges,
         stable=stable,
+        stable_overall=all(stable["test"].values()),
         zero_division_count=sum(zd for _, _, zd in folds),
     )
 

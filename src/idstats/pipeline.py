@@ -15,7 +15,7 @@ import json
 import re
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -66,27 +66,19 @@ _DENSITY_TAG = 14
 _WY_TAG = 15
 
 
-def _jsonable(value):
-    """Recursively convert numpy scalars/arrays so json.dumps accepts them."""
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
+def _json_default(value):
+    """numpy arrays and scalars as the Python values json writes."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with atomic_open(path, encoding="utf-8") as handle:
-        handle.write(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
+        handle.write(
+            json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+        )
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -167,7 +159,7 @@ def run_preprocess(cfg: RunConfig) -> dict:
             state = robust_fit(train.column(name))
             train = train.with_column(name, robust_transform(train.column(name), state))
             test = test.with_column(name, robust_transform(test.column(name), state))
-            scalers[name] = {"median": state.median, "iqr": state.iqr}
+            scalers[name] = asdict(state)
 
     names = train.feature_names
     rfe_spec = ModelSpec(
@@ -226,13 +218,11 @@ def run_preprocess(cfg: RunConfig) -> dict:
             selected=np.array(selected, dtype=str),
         )
     state = {
-        "schema": [
-            {"name": c.name, "role": c.role, "encoding": c.encoding} for c in schema
-        ],
+        "schema": [asdict(c) for c in schema],
         "counts": counts
         | {"train_rows": train.n_rows, "test_rows": test.n_rows},
         "class_rows": class_rows,
-        "encoders": encoders.to_dict(),
+        "encoders": asdict(encoders),
         "indicator_columns": indicator_columns,
         "scalers": scalers,
         "engineered": [e.output_name for e in opts.engineered],
@@ -310,7 +300,6 @@ class PreprocessArtifacts:
     test: ColumnTable
     selected: list[str]
     indicator_columns: set[str]
-    state: dict
 
 
 def load_artifacts(out_dir: Path) -> PreprocessArtifacts:
@@ -333,7 +322,6 @@ def load_artifacts(out_dir: Path) -> PreprocessArtifacts:
         test=_table(data["X_test"], data["y_test"]),
         selected=[str(s) for s in data["selected"]],
         indicator_columns=set(state.get("indicator_columns", [])),
-        state=state,
     )
 
 
@@ -439,7 +427,7 @@ def run_cv(cfg: RunConfig) -> dict:
                     {"params": cell.params, "test_f1": cell.report.test_mean.f1}
                     for cell in search.cells
                 ],
-                "report": search.best_report.to_dict(),
+                "report": asdict(search.best_report),
             }
             for family, search in searches.items()
         },
@@ -626,25 +614,10 @@ def run_wy(cfg: RunConfig) -> dict:
         "seed": wy_cfg.seed,
         "refit_bandwidths": wy_cfg.refit_bandwidths,
         "results": [
-            {
-                "feature": r.feature,
-                "statistic": r.statistic,
-                "p_value": r.p_value,
-                "p_display": r.p_display,
-                "n_a": r.n_a,
-                "n_b": r.n_b,
-                "bandwidth_a": r.bandwidth_a,
-                "bandwidth_b": r.bandwidth_b,
-                "overlap": overlap[r.feature],
-            }
-            for r in report.results
+            asdict(r) | {"overlap": overlap[r.feature]} for r in report.results
         ],
         "max_trace": report.max_trace.tolist(),
-        "decision": {
-            "alpha": decision.alpha,
-            "rejected": decision.rejected,
-            "family_reject": decision.family_reject,
-        },
+        "decision": asdict(decision),
     }
 
 

@@ -32,13 +32,6 @@ class RobustScalerState:
     median: float
     iqr: float
 
-    def to_dict(self) -> dict:
-        return {"median": self.median, "iqr": self.iqr}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> RobustScalerState:
-        return cls(median=float(data["median"]), iqr=float(data["iqr"]))
-
 
 def robust_fit(x: np.ndarray) -> RobustScalerState:
     """Fit median/IQR on a training column."""

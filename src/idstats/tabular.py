@@ -317,21 +317,6 @@ class EncoderState:
     dummy: dict[str, list[str]] = field(default_factory=dict)
     integer: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "frequency": self.frequency,
-            "dummy": self.dummy,
-            "integer": self.integer,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> EncoderState:
-        return cls(
-            frequency={k: dict(v) for k, v in data.get("frequency", {}).items()},
-            dummy={k: list(v) for k, v in data.get("dummy", {}).items()},
-            integer={k: dict(v) for k, v in data.get("integer", {}).items()},
-        )
-
 
 def fit_encoders(t: ColumnTable, schema: list[ColumnSchema]) -> EncoderState:
     """Fit categorical encoders on (and only on) the rows of ``t``.

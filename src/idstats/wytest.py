@@ -98,18 +98,6 @@ class WyTestReport:
     max_trace: np.ndarray
     config: WyConfig
 
-    def statistic_of(self, feature: str) -> float:
-        for r in self.results:
-            if r.feature == feature:
-                return r.statistic
-        raise DataError(f"no result for feature {feature!r}")
-
-    def p_value_of(self, feature: str) -> float:
-        for r in self.results:
-            if r.feature == feature:
-                return r.p_value
-        raise DataError(f"no result for feature {feature!r}")
-
 
 def _pair_seed(cfg: WyConfig, tag: int, b: int, feature_index: int) -> list[int]:
     return [cfg.seed, tag, b, feature_index]
@@ -348,10 +336,7 @@ class WyDecision:
 
     alpha: float
     rejected: dict[str, bool]
-
-    @property
-    def family_reject(self) -> bool:
-        return any(self.rejected.values())
+    family_reject: bool
 
 
 def decide(report: WyTestReport, alpha: float | None = None) -> WyDecision:
@@ -359,7 +344,7 @@ def decide(report: WyTestReport, alpha: float | None = None) -> WyDecision:
     level = report.config.alpha if alpha is None else alpha
     if not 0.0 < level < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {level}")
+    rejected = {r.feature: r.p_value < level for r in report.results}
     return WyDecision(
-        alpha=level,
-        rejected={r.feature: r.p_value < level for r in report.results},
+        alpha=level, rejected=rejected, family_reject=any(rejected.values())
     )

@@ -92,6 +92,8 @@ def test_cv_grids_reject_values_of_the_wrong_kind(family, key, bad):
         ("density", "grid_size", 1, "grid_size"),
         ("density", "features", [], "features"),
         ("wy", "features", [], "features"),
+        ("density", "features", ["a", "b", "a"], "features lists 'a' more than once"),
+        ("wy", "features", ["b", "b"], "features lists 'b' more than once"),
     ],
 )
 def test_wy_and_density_values_are_rejected_at_parse_time(section, key, bad, message):

@@ -243,6 +243,11 @@ def test_fit_kde_validates():
         fit_kde(np.array([]), bandwidth=1.0)
     with pytest.raises(DataError):
         fit_kde(np.array([1.0]), bandwidth=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DataError, match="bandwidth must be finite"):
+            fit_kde(np.array([1.0, 2.0, 3.0]), bandwidth=bad)
+        with pytest.raises(DataError, match="bandwidth must be finite"):
+            KdeModel(np.array([1.0, 2.0, 3.0]), bad, "fixed")
     with pytest.raises(DataError, match="policy"):
         fit_kde(np.array([1.0, 2.0]), policy="epanechnikov")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,7 @@ def test_cross_validate_counts_folds_and_scores_well():
         for metric, value in report.ranges[split].items():
             assert value >= 0.0
             assert report.stable[split][metric] == (value <= STABILITY_RANGE)
+    assert report.stable_overall == all(report.stable["test"].values())
 
 
 def test_cross_validate_constant_predictor_is_perfectly_stable():
@@ -166,7 +169,7 @@ def test_cross_validate_is_deterministic():
     table = blob_table(n_per=30, shift=2.0, seed=4)
     r1 = cross_validate(ModelSpec("forest", {"n_trees": 5}), table, k=3, seed=7)
     r2 = cross_validate(ModelSpec("forest", {"n_trees": 5}), table, k=3, seed=7)
-    assert r1.to_dict() == r2.to_dict()
+    assert asdict(r1) == asdict(r2)
 
 
 def test_cross_validate_annotates_fold_errors():

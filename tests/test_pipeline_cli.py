@@ -437,3 +437,59 @@ def test_a_write_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "arrays.npz", "doc.json", "model.json", "table.csv",
     ]
+
+
+def test_json_documents_write_numpy_values_as_python_values(tmp_path):
+    from idstats import pipeline
+
+    doc = {
+        "scalars": {
+            "i": np.int64(-7),
+            "b": np.bool_(True),
+            "f32": np.float32(0.1),
+            "f64": np.float64(1 / 3),
+        },
+        "arrays": {
+            "ints": np.arange(3),
+            "floats": np.array([[0.5, -1.25]]),
+            "empty": np.zeros(0),
+        },
+        "nested": (1, (2.5, np.int64(3)), [np.float64(2.0), np.bool_(False)]),
+    }
+    path = tmp_path / "doc.json"
+    pipeline._write_json(path, doc)
+    assert path.read_text(encoding="utf-8") == textwrap.dedent("""\
+        {
+          "arrays": {
+            "empty": [],
+            "floats": [
+              [
+                0.5,
+                -1.25
+              ]
+            ],
+            "ints": [
+              0,
+              1,
+              2
+            ]
+          },
+          "nested": [
+            1,
+            [
+              2.5,
+              3
+            ],
+            [
+              2.0,
+              false
+            ]
+          ],
+          "scalars": {
+            "b": true,
+            "f32": 0.10000000149011612,
+            "f64": 0.3333333333333333,
+            "i": -7
+          }
+        }
+    """)

@@ -99,9 +99,10 @@ def test_p_values_follow_the_exceedance_formula():
         else:
             assert r.p_display == f"{r.p_value:.6f}"
     # strong shift beats every permutation max; pure noise does not
-    assert report.p_value_of("sig") == pytest.approx(1 / 41)
-    assert report.statistic_of("sig") > report.statistic_of("noise")
-    assert report.p_value_of("noise") > 0.1
+    by_feature = {r.feature: r for r in report.results}
+    assert by_feature["sig"].p_value == pytest.approx(1 / 41)
+    assert by_feature["sig"].statistic > by_feature["noise"].statistic
+    assert by_feature["noise"].p_value > 0.1
 
 
 def test_p_value_bounds_and_monotonicity():
@@ -246,5 +247,6 @@ def test_decide_applies_the_threshold():
     assert decision.family_reject
     strict = decide(report, alpha=1 / 62)
     assert not strict.rejected["noise"]
+    assert not decide(report, alpha=1 / 200).family_reject
     with pytest.raises(DataError):
         decide(report, alpha=0.0)
