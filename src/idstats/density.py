@@ -44,8 +44,12 @@ _FFT_STEPS_PER_TERM = 2
 
 DEFAULT_CV_FOLDS = 5
 
-# Largest work matrix of the exact sums, in float64 elements.
-_EXACT_BLOCK = 4_000_000
+# Largest work tile of the exact sums, in float64 cells. 2^15 cells are
+# 256 kB, so a tile stays in L2 across the passes made over it (bandwidth CV
+# makes four or six per candidate). On 1280-value samples, tiles of 2^14 to
+# 2^16 cells scored fastest and 2^17 on fell out of cache. Only the order of
+# the CV sums depends on it; _exact_density's bits do not.
+_EXACT_BLOCK = 1 << 15
 
 # np.exp leaves its fast vector path for arguments at or below about -708,
 # where results are subnormal or 0. The kernel clamps its argument at -700
@@ -53,6 +57,10 @@ _EXACT_BLOCK = 4_000_000
 # bandwidths on, and any value above ~1e-288 is unchanged.
 _EXP_CLAMP = -700.0
 _EXP_AT_CLAMP = float(np.exp(_EXP_CLAMP))
+# Down to this argument the clamp and the subtraction of exp(-700) change no
+# bit (exp(-660) ~ 5e-287, half an ulp of which exceeds exp(-700)), so np.exp
+# alone is _kernel there.
+_EXP_FAST_LIMIT = 660.0
 
 
 def _sample_std(x: np.ndarray) -> float:
@@ -73,11 +81,20 @@ def _degenerate(x: np.ndarray, why: str) -> float:
     return h
 
 
-def scott_bandwidth(x: np.ndarray) -> float:
-    """Scott's rule h = sigma_hat * n^(-1/5); degenerate spread falls back."""
+def _checked_sample(x: np.ndarray, rule: str) -> np.ndarray:
+    """x as float64; a DataError naming the rule if it is empty or holds NaN
+    or an infinity."""
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
-        raise DataError("scott_bandwidth on an empty sample")
+        raise DataError(f"{rule} on an empty sample")
+    if not np.isfinite(x).all():
+        raise DataError(f"{rule}: the sample holds NaN or infinite values")
+    return x
+
+
+def scott_bandwidth(x: np.ndarray) -> float:
+    """Scott's rule h = sigma_hat * n^(-1/5); degenerate spread falls back."""
+    x = _checked_sample(x, "scott_bandwidth")
     if x.size < 2:
         return _degenerate(x, "scott_bandwidth: single sample")
     sigma = _sample_std(x)
@@ -88,9 +105,7 @@ def scott_bandwidth(x: np.ndarray) -> float:
 
 def silverman_bandwidth(x: np.ndarray) -> float:
     """Silverman's rule h = 0.9 * min(sigma_hat, IQR/1.34) * n^(-1/5)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise DataError("silverman_bandwidth on an empty sample")
+    x = _checked_sample(x, "silverman_bandwidth")
     if x.size < 2:
         return _degenerate(x, "silverman_bandwidth: single sample")
     spread = min(_sample_std(x), (quantile(x, 0.75) - quantile(x, 0.25)) / 1.34)
@@ -116,7 +131,9 @@ def _kernel(z: np.ndarray) -> np.ndarray:
 
 
 def _exact_density(samples: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
-    """Gaussian KDE evaluated exactly, chunked to bound the work matrix.
+    """Gaussian KDE evaluated exactly, in chunks of points whose work block
+    holds at most _EXACT_BLOCK cells (one point if a row is longer). Each
+    point's sum is one whole row, so the chunk size changes no bit.
 
     Each kernel term is cut to exactly 0 beyond sqrt(1400) ~ 37.4 bandwidths
     (see _kernel); every term above ~1e-288 is the plain Gaussian's.
@@ -136,37 +153,56 @@ def _exact_density(samples: np.ndarray, points: np.ndarray, h: float) -> np.ndar
 def _pair_cv_scores(
     x: np.ndarray, fold_of: np.ndarray, n_folds: int, candidates: np.ndarray
 ) -> np.ndarray:
-    """Total held-out log-likelihood per candidate, each fold pair scored once.
+    """Total held-out log-likelihood per candidate, on each fold's distinct
+    values, each cross-fold pair scored once, in tiles of _EXACT_BLOCK cells.
 
-    A held-out point's density sums the kernel over every other fold, so the
-    folds f < g share one block of squared distances: per candidate, its row
-    sums go to fold f's points and its column sums to fold g's. Blocks are
-    bounded like _exact_density's work matrix.
+    Each fold is reduced to its sorted distinct values and their
+    multiplicities. A held-out value's density is the multiplicity-weighted
+    kernel sum over the distinct values of the other folds, and its log
+    enters the score once per copy. Fold f's values are tiled against the
+    distinct values of every later fold; per candidate, a tile's row sums
+    (k @ column weights) go to fold f's values and its column sums
+    (row weights @ k) to the later folds' values. A tile whose arguments all
+    lie at or above -660 takes np.exp alone, which gives _kernel's bits
+    there; any other tile takes _kernel. Only the order of the sums differs
+    from one plain sum per held-out point.
     """
-    order = np.argsort(fold_of, kind="stable")
-    xs = x[order]
-    bounds = np.searchsorted(fold_of[order], np.arange(n_folds + 1))
-    factors = -0.5 / (candidates * candidates)
-    sums = np.zeros((candidates.size, x.size))
+    values, weights = [], []
     for f in range(n_folds):
-        for g in range(f + 1, n_folds):
-            g0, g1 = bounds[g], bounds[g + 1]
-            chunk = max(1, _EXACT_BLOCK // (g1 - g0))
-            for r0 in range(bounds[f], bounds[f + 1], chunk):
-                r1 = min(r0 + chunk, bounds[f + 1])
-                d2 = np.subtract.outer(xs[r0:r1], xs[g0:g1])
+        u, c = np.unique(x[fold_of == f], return_counts=True)
+        values.append(u)
+        weights.append(c.astype(np.float64))
+    bounds = np.cumsum([0] + [u.size for u in values])
+    u, w = np.concatenate(values), np.concatenate(weights)
+    factors = -0.5 / (candidates * candidates)
+    sums = np.zeros((candidates.size, u.size))
+    for f in range(n_folds - 1):
+        f1, end = bounds[f + 1], bounds[-1]
+        width = min(end - f1, _EXACT_BLOCK)
+        height = max(1, _EXACT_BLOCK // width)
+        for c0 in range(f1, end, width):
+            c1 = min(c0 + width, end)
+            for r0 in range(bounds[f], f1, height):
+                r1 = min(r0 + height, f1)
+                d2 = np.subtract.outer(u[r0:r1], u[c0:c1])
                 np.multiply(d2, d2, out=d2)
+                reach = float(d2.max())
                 k = np.empty_like(d2)
                 for ci, factor in enumerate(factors):
-                    _kernel(np.multiply(d2, factor, out=k))
-                    sums[ci, r0:r1] += k.sum(axis=1)
-                    sums[ci, g0:g1] += k.sum(axis=0)
+                    np.multiply(d2, factor, out=k)
+                    if reach * -factor <= _EXP_FAST_LIMIT:
+                        np.exp(k, out=k)
+                    else:
+                        _kernel(k)
+                    sums[ci, r0:r1] += k @ w[c0:c1]
+                    sums[ci, c0:c1] += w[r0:r1] @ k
 
     scores = np.zeros(candidates.size)
     for f in range(n_folds):
         f0, f1 = bounds[f], bounds[f + 1]
-        dens = sums[:, f0:f1] / ((x.size - (f1 - f0)) * candidates[:, None] * _SQRT_2PI)
-        scores += np.log(np.maximum(dens, DENSITY_FLOOR)).sum(axis=1)
+        n_train = x.size - int(w[f0:f1].sum())
+        dens = sums[:, f0:f1] / (n_train * candidates[:, None] * _SQRT_2PI)
+        scores += np.log(np.maximum(dens, DENSITY_FLOOR)) @ w[f0:f1]
     return scores
 
 
@@ -232,9 +268,12 @@ def cv_bandwidth(
 
     Folds come from a seeded shuffle with round-robin assignment. Densities
     are floored at 1e-300 inside the log; ties go to the largest bandwidth.
-    Below FAST_CV_THRESHOLD values the held-out densities are exact sums,
-    with each kernel term cut to 0 beyond sqrt(1400) ~ 37.4 bandwidths; at
-    or above it they come from the binned FFT scorer.
+    Below FAST_CV_THRESHOLD values the held-out densities are exact sums
+    (_pair_cv_scores: over each fold's distinct values, weighted by their
+    multiplicities, in cache-sized tiles), with each kernel term cut to 0
+    beyond sqrt(1400) ~ 37.4 bandwidths; at or above it they come from the
+    binned FFT scorer. A sample or candidate set holding NaN or an infinity
+    is a DataError.
 
     Args:
         x: sample vector, n >= folds.
@@ -248,13 +287,14 @@ def cv_bandwidth(
         raise DataError(f"cv_bandwidth needs folds >= 2, got {folds}")
     if x.size < folds:
         raise DataError(f"cv_bandwidth needs n >= folds ({x.size} < {folds})")
+    x = _checked_sample(x, "cv_bandwidth")
     cand = default_cv_candidates(x) if candidates is None else np.asarray(
         candidates, dtype=np.float64
     )
     if cand.size == 0:
         raise DataError("cv_bandwidth: empty candidate set")
-    if np.any(cand <= 0.0):
-        raise DataError("cv_bandwidth: candidates must be positive")
+    if not (np.isfinite(cand).all() and np.all(cand > 0.0)):
+        raise DataError("cv_bandwidth: candidates must be finite and positive")
     order = np.argsort(cand)
     cand = cand[order]
 

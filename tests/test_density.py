@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,27 @@ def test_cv_bandwidth_validates_inputs():
         cv_bandwidth(x, candidates=np.array([0.5, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bandwidth_rules_reject_a_non_finite_sample(bad):
+    x = np.append(np.random.default_rng(36).normal(0.0, 1.0, 200), bad)
+    for rule in (scott_bandwidth, silverman_bandwidth, cv_bandwidth):
+        with pytest.raises(DataError, match=f"{rule.__name__}: the sample holds NaN"):
+            rule(x)
+    # the error names the sample, not the bandwidth fitted from it
+    with pytest.raises(DataError, match="scott_bandwidth: the sample"):
+        fit_kde(x, policy="scott")
+    with pytest.raises(DataError, match="cv_bandwidth: the sample"):
+        cv_bandwidth(x, candidates=np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_cv_bandwidth_rejects_non_finite_candidates(bad):
+    x = np.random.default_rng(37).normal(0.0, 1.0, 50)
+    for cand in ([bad], [0.5, bad]):
+        with pytest.raises(DataError, match="candidates must be finite and positive"):
+            cv_bandwidth(x, candidates=np.array(cand))
+
+
 def test_fast_cv_path_matches_exact_scoring(monkeypatch):
     x = np.random.default_rng(9).normal(0.0, 2.0, 5000)
     cand = np.geomspace(0.1, 2.0, 8)
@@ -166,11 +191,142 @@ def test_pair_cv_scores_do_not_depend_on_the_block_size(monkeypatch):
     cand = default_cv_candidates(x, 6)
     fold_of = cv_folds_of(x.size, folds, 3)
     whole = density._pair_cv_scores(x, fold_of, folds, cand)
-    # folds of 25-26 points: blocks of 7 rows, the last block of each fold short
-    monkeypatch.setattr(density, "_EXACT_BLOCK", 7 * 26)
-    np.testing.assert_allclose(
-        density._pair_cv_scores(x, fold_of, folds, cand), whole, rtol=1e-12
-    )
+    # 103 distinct values in folds of 25-26: fold 0's 26 rows face 77 later
+    # columns, 2002 cells, one tile at the default block. 7 * 26 cells make
+    # tiles of 2 rows, the last one of a fold short; 16 cells also split the
+    # columns, into tiles of 1 row and 16 columns.
+    assert x.size // folds * (x.size - x.size // folds) < density._EXACT_BLOCK
+    for block in (7 * 26, 16):
+        monkeypatch.setattr(density, "_EXACT_BLOCK", block)
+        np.testing.assert_allclose(
+            density._pair_cv_scores(x, fold_of, folds, cand), whole, rtol=1e-12
+        )
+
+
+# The work block of the reference scorers below, in cells.
+_REFERENCE_BLOCK = 4_000_000
+
+
+def per_point_pair_cv_scores(x, fold_of, n_folds, candidates):
+    """Reference scorer: each cross-fold pair once, one plain row or column
+    sum per held-out point (no distinct values, no tiles), in blocks of up
+    to 4M cells, every term through density._kernel."""
+    order = np.argsort(fold_of, kind="stable")
+    xs = x[order]
+    bounds = np.searchsorted(fold_of[order], np.arange(n_folds + 1))
+    factors = -0.5 / (candidates * candidates)
+    sums = np.zeros((candidates.size, x.size))
+    for f in range(n_folds):
+        for g in range(f + 1, n_folds):
+            g0, g1 = bounds[g], bounds[g + 1]
+            chunk = max(1, _REFERENCE_BLOCK // (g1 - g0))
+            for r0 in range(bounds[f], bounds[f + 1], chunk):
+                r1 = min(r0 + chunk, bounds[f + 1])
+                d2 = np.subtract.outer(xs[r0:r1], xs[g0:g1])
+                np.multiply(d2, d2, out=d2)
+                k = np.empty_like(d2)
+                for ci, factor in enumerate(factors):
+                    density._kernel(np.multiply(d2, factor, out=k))
+                    sums[ci, r0:r1] += k.sum(axis=1)
+                    sums[ci, g0:g1] += k.sum(axis=0)
+
+    scores = np.zeros(candidates.size)
+    for f in range(n_folds):
+        f0, f1 = bounds[f], bounds[f + 1]
+        dens = sums[:, f0:f1] / ((x.size - (f1 - f0)) * candidates[:, None] * SQRT_2PI)
+        scores += np.log(np.maximum(dens, density.DENSITY_FLOOR)).sum(axis=1)
+    return scores
+
+
+def cv_pick(scores):
+    """cv_bandwidth's pick: the best score, ties to the largest index."""
+    return max(range(scores.size), key=lambda ci: (scores[ci], ci))
+
+
+def assert_matches_the_per_point_scorer(x, fold_of, folds, cand):
+    want = per_point_pair_cv_scores(x, fold_of, folds, cand)
+    got = density._pair_cv_scores(x, fold_of, folds, cand)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    assert cv_pick(got) == cv_pick(want)
+
+
+@pytest.mark.parametrize("name", sorted(CV_FIXTURES))
+def test_pair_cv_scores_match_the_per_point_scorer(name):
+    x, folds = CV_FIXTURES[name]
+    fold_of = cv_folds_of(x.size, folds, 11)
+    assert_matches_the_per_point_scorer(x, fold_of, folds, default_cv_candidates(x, 12))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pair_cv_scores_match_the_per_point_scorer_on_random_draws(seed):
+    rng = np.random.default_rng(1000 + seed)
+    n, folds = int(rng.integers(40, 900)), int(rng.integers(2, 6))
+    gamma = rng.gamma(rng.uniform(0.3, 3.0), rng.uniform(0.1, 100.0), n)
+    counts = rng.poisson(rng.uniform(0.5, 40.0), n).astype(np.float64)
+    for x in (gamma, counts):
+        fold_of = cv_folds_of(n, folds, seed)
+        assert_matches_the_per_point_scorer(x, fold_of, folds, default_cv_candidates(x, 10))
+
+
+def test_pair_cv_scores_with_a_fold_of_equal_values():
+    rng = np.random.default_rng(38)
+    x = np.concatenate([np.full(40, 2.5), rng.normal(2.0, 1.0, 80)])
+    fold_of = np.repeat([0, 1, 2], 40)
+    cand = np.geomspace(0.05, 5.0, 9)
+    # the constant fold is one distinct value of weight 40: first as rows
+    # against the later folds, then as the last fold, only ever in columns
+    assert_matches_the_per_point_scorer(x, fold_of, 3, cand)
+    assert_matches_the_per_point_scorer(x, np.roll(fold_of, 40), 3, cand)
+
+
+def test_pair_cv_scores_with_ties_across_folds():
+    # three distinct values, each repeated in every fold
+    x = np.random.default_rng(39).integers(0, 3, 300).astype(np.float64)
+    for folds, seed in ((2, 0), (5, 1)):
+        fold_of = cv_folds_of(x.size, folds, seed)
+        assert_matches_the_per_point_scorer(x, fold_of, folds, np.geomspace(0.02, 4.0, 11))
+
+
+@pytest.mark.parametrize("stretch, kernel_calls", [(1.0 - 1e-6, 0), (1.0 + 1e-6, 1)])
+def test_pair_cv_scores_around_the_exp_only_bound(stretch, kernel_calls, monkeypatch):
+    # At h = 1 a squared distance d2 gives the argument -d2 / 2. The pair
+    # (0, span) puts the lowest argument of fold 0's tile just above or just
+    # below -660; the tile of folds 1 and 2 stays well above it.
+    span = math.sqrt(2.0 * density._EXP_FAST_LIMIT) * stretch
+    inner = np.random.default_rng(40).uniform(0.1, span - 0.1, 58)
+    x = np.concatenate([[0.0], inner[:29], inner[29:], [span]])
+    fold_of = np.repeat([0, 1, 2], [30, 29, 1])  # 0.0 in fold 0, the span in fold 2
+    calls = []
+    kernel = density._kernel
+    monkeypatch.setattr(density, "_kernel", lambda z: calls.append(1) or kernel(z))
+    assert_matches_the_per_point_scorer(x, fold_of, 3, np.array([1.0]))
+    # the per-point oracle calls _kernel once per block: 3 fold pairs
+    assert len(calls) == 3 + kernel_calls
+
+
+_SCORES_SCRIPT = """
+import numpy as np
+import idstats.density as density
+rng = np.random.default_rng(41)
+x = rng.gamma(0.6, 20.0, 1280)
+fold_of = np.empty(x.size, dtype=np.int64)
+fold_of[rng.permutation(x.size)] = np.arange(x.size) % 3
+print(density._pair_cv_scores(x, fold_of, 3, density.default_cv_candidates(x, 10)).tobytes().hex())
+"""
+
+
+def test_pair_cv_scores_do_not_depend_on_the_blas_thread_count():
+    # tiles of 2^15 cells are above OpenBLAS's threading cut for gemv
+    src = str(Path(density.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _SCORES_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        out.append(run.stdout)
+    assert out[0] and out[0] == out[1]
 
 
 def test_kernel_is_exp_above_the_cut_off_and_zero_beyond_it():
@@ -199,6 +355,32 @@ def test_kde_eval_matches_a_direct_sum_down_to_1e_250():
     checked = direct >= 1e-250
     assert checked.sum() > 200 and not checked.all()
     np.testing.assert_allclose(got[checked], direct[checked], rtol=1e-12, atol=0.0)
+
+
+def block_of_4m_exact_density(samples, points, h):
+    """_exact_density's sums in chunks of up to 4M cells."""
+    n = samples.size
+    out = np.empty(points.size, dtype=np.float64)
+    scaled = samples / h
+    chunk = max(1, _REFERENCE_BLOCK // max(n, 1))
+    for start in range(0, points.size, chunk):
+        z = np.subtract.outer(points[start : start + chunk] / h, scaled)
+        np.multiply(z, z, out=z)
+        np.multiply(z, -0.5, out=z)
+        out[start : start + chunk] = density._kernel(z).sum(axis=1)
+    return out / (n * h * SQRT_2PI)
+
+
+@pytest.mark.parametrize("n", [1, 1280, 24_000, 40_000])
+def test_kde_eval_is_bit_identical_to_the_4m_block(n):
+    # points per chunk, 2^15-cell block against 4M: 25 against all 512 at
+    # 1280 samples, 1 against 166 at 24 000, and 1 against 100 at 40 000,
+    # where one row is longer than the block
+    samples = np.random.default_rng(42).gamma(0.5, 3.0, n)
+    h = scott_bandwidth(samples) if n > 1 else 0.3
+    points = np.linspace(samples.min() - 2.0, samples.max() + 2.0, 512)
+    got = kde_eval(fit_kde(samples, bandwidth=h), points)
+    assert got.tobytes() == block_of_4m_exact_density(samples, points, h).tobytes()
 
 
 def test_kde_eval_is_zero_beyond_37_4_bandwidths():
