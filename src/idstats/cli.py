@@ -67,13 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        classes = None
         raw_classes = getattr(args, "classes", None)
-        if raw_classes is not None:
-            parts = raw_classes.split(",")
-            if len(parts) != 2 or not all(parts):
-                raise ConfigError("--classes expects two comma-separated names")
-            classes = (parts[0], parts[1])
+        # WyConfig checks the pair, as it does the config file's
+        classes = None if raw_classes is None else tuple(raw_classes.split(","))
         cfg = load_config(args.config)
         cfg = apply_overrides(
             cfg,

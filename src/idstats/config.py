@@ -4,14 +4,16 @@ One file drives every subcommand; command-line flags override individual
 values. Unknown keys anywhere in the document are rejected before any
 computation starts.
 
-Each options dataclass below is the only place its section's keys, defaults
-and scalar types are written. `_parse_section` takes the allowed keys and
-defaults from `dataclasses.fields` and each scalar's type from the field's
-annotation, where `X | None` means the key may be null. Only the structured
-keys (schema, engineered, models, classes, features) have parsers of their
-own; a field whose type is a dataclass is parsed as a nested section. The
-value checks live in each dataclass's `__post_init__`, so the flag overrides
-pass the same checks, and `config_echo` is `asdict` of the same objects.
+Each section's dataclass is the only place its keys, defaults and scalar
+types are written. Most are below; the ``wy:`` section is `wytest.WyConfig`
+and an ``engineered`` entry is `preprocess.EngineeredFeature`, each next to
+the code that uses it. `_parse_section` takes the allowed keys and defaults
+from `dataclasses.fields` and each scalar's type from the field's annotation,
+where `X | None` means the key may be null. Only the structured keys (schema,
+engineered, models, classes, features) have parsers of their own; a field
+whose type is a dataclass is parsed as a nested section. The value checks
+live in each dataclass's `__post_init__`, so the flag overrides pass the same
+checks, and `config_echo` is `asdict` of the same objects.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import yaml
 from .density import BANDWIDTH_POLICIES
 from .errors import ConfigError, DataError
 from .preprocess import EngineeredFeature
-from .tabular import ColumnSchema, validate_schema
+from .tabular import ColumnSchema, check_feature_list, validate_schema
 from .trees import ModelSpec
 from .wytest import WyConfig
 
@@ -153,16 +155,6 @@ class CvOptions:
             raise ConfigError(f"k must be >= 2, got {self.k}")
 
 
-def _check_features(features: tuple[str, ...] | None) -> None:
-    """An analysis's feature list: null (the selected set) or distinct names."""
-    # an empty list would analyse nothing
-    if features == ():
-        raise ConfigError("features must be a non-empty list of feature names")
-    for i, name in enumerate(features or ()):
-        if name in features[:i]:
-            raise ConfigError(f"features lists {name!r} more than once")
-
-
 @dataclass(frozen=True)
 class DensityOptions:
     """Shape-summary settings; features default to the selected numeric set."""
@@ -176,50 +168,7 @@ class DensityOptions:
             raise ConfigError(f"unknown bandwidth policy {self.policy!r}")
         if self.grid_size < 2:
             raise ConfigError("grid_size must be >= 2")
-        _check_features(self.features)
-
-
-@dataclass(frozen=True)
-class WyOptions:
-    classes: tuple[str, str] | None = None
-    permutations: int = 1000
-    alpha: float = 0.05
-    bandwidth: str = "cv"
-    grid_size: int = 512
-    cv_candidates: int = 10
-    cv_folds: int = 3
-    refit_bandwidths: bool = True
-    features: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        _check_features(self.features)
-        # WyConfig holds the checks; a stand-in pair is used until --classes
-        # supplies the real one.
-        self._wy_config(self.classes or ("a", "b"), seed=0)
-
-    def to_wy_config(self, seed: int) -> WyConfig:
-        if self.classes is None:
-            raise ConfigError(
-                "the permutation test needs a class pair; set wy.classes in the "
-                "config or pass --classes V,W"
-            )
-        return self._wy_config(self.classes, seed)
-
-    def _wy_config(self, classes: tuple[str, str], seed: int) -> WyConfig:
-        own = {f.name for f in fields(self)}
-        shared = {
-            f.name: getattr(self, f.name) for f in fields(WyConfig) if f.name in own
-        }
-        try:
-            return WyConfig(
-                class_a=classes[0],
-                class_b=classes[1],
-                bandwidth_policy=self.bandwidth,
-                seed=seed,
-                **shared,
-            )
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
+        check_feature_list(self.features)
 
 
 @dataclass(frozen=True)
@@ -234,7 +183,7 @@ class RunConfig:
     preprocess: PreprocessOptions = field(default_factory=PreprocessOptions)
     cv: CvOptions = field(default_factory=CvOptions)
     density: DensityOptions = field(default_factory=DensityOptions)
-    wy: WyOptions = field(default_factory=WyOptions)
+    wy: WyConfig = field(default_factory=WyConfig)
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -317,19 +266,10 @@ def _parse_models(section: Any, where: str) -> dict[str, dict[str, list]]:
     return models
 
 
-def _parse_class_pair(value: Any, where: str) -> tuple[str, str]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(isinstance(v, str) for v in value)
-    ):
-        raise ConfigError(f"{where} must be a list of two class names")
-    return (value[0], value[1])
-
-
-def _parse_feature_list(value: Any, where: str) -> tuple[str, ...]:
+def _parse_names(value: Any, where: str) -> tuple[str, ...]:
+    """A list of class or feature names; its owner checks the count."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{where} must be a list of feature names")
+        raise ConfigError(f"{where} must be a list of names")
     return tuple(value)
 
 
@@ -341,8 +281,8 @@ _HOOKS = {
     "schema": _parse_schema,
     "engineered": _parse_engineered,
     "models": _parse_models,
-    "classes": _parse_class_pair,
-    "features": _parse_feature_list,
+    "classes": _parse_names,
+    "features": _parse_names,
 }
 
 

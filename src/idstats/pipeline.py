@@ -328,17 +328,28 @@ def load_artifacts(out_dir: Path) -> PreprocessArtifacts:
 def _analysis_features(
     art: PreprocessArtifacts, requested: tuple[str, ...] | None, where: str
 ) -> list[str]:
-    """Requested features, or the selected set minus 0/1 indicator columns."""
-    if requested is not None:
-        missing = [f for f in requested if f not in art.train.columns]
+    """Requested features, or the selected set minus 0/1 indicator columns.
+    Two features whose names squeeze to one plot-data file name are rejected."""
+    if requested is None:
+        features = [f for f in art.selected if f not in art.indicator_columns]
+    else:
+        features = list(requested)
+        missing = [f for f in features if f not in art.train.columns]
         if missing:
             raise DataError(f"{where}: unknown feature(s) {', '.join(missing)}")
-        return list(requested)
-    features = [f for f in art.selected if f not in art.indicator_columns]
+    # the config rejects an empty list, so only the selected set can be empty
     if not features:
         raise DataError(
             f"{where}: no continuous features survive selection; list them explicitly"
         )
+    by_file: dict[str, str] = {}
+    for feature in features:
+        first = by_file.setdefault(_safe_name(feature), feature)
+        if first != feature:
+            raise DataError(
+                f"{where}: features {first!r} and {feature!r} would share the "
+                f"plot-data file name {_safe_name(feature)!r}"
+            )
     return features
 
 
@@ -541,15 +552,15 @@ def run_wy(cfg: RunConfig) -> dict:
     """
     art = load_artifacts(cfg.output)
     features = _analysis_features(art, cfg.wy.features, "wy")
-    wy_cfg = cfg.wy.to_wy_config(seed=derive_seed(cfg.seed, _WY_TAG))
+    seed = derive_seed(cfg.seed, _WY_TAG)
 
-    columns = class_pair_columns(art.train, features, wy_cfg)
+    columns = class_pair_columns(art.train, features, cfg.wy)
     observed = observed_details(
-        art.train, features, wy_cfg, workers=cfg.threads, columns=columns
+        art.train, features, cfg.wy, workers=cfg.threads, columns=columns, seed=seed
     )
     report = wy_maxT(
-        art.train, features, wy_cfg, workers=cfg.threads, observed=observed,
-        columns=columns,
+        art.train, features, cfg.wy, workers=cfg.threads, observed=observed,
+        columns=columns, seed=seed,
     )
     decision = decide(report)
 
@@ -606,13 +617,13 @@ def run_wy(cfg: RunConfig) -> dict:
     )
 
     return {
-        "classes": [wy_cfg.class_a, wy_cfg.class_b],
-        "permutations": wy_cfg.permutations,
-        "alpha": wy_cfg.alpha,
-        "bandwidth_policy": wy_cfg.bandwidth_policy,
-        "grid_size": wy_cfg.grid_size,
-        "seed": wy_cfg.seed,
-        "refit_bandwidths": wy_cfg.refit_bandwidths,
+        "classes": list(cfg.wy.classes),
+        "permutations": cfg.wy.permutations,
+        "alpha": cfg.wy.alpha,
+        "bandwidth_policy": cfg.wy.bandwidth,
+        "grid_size": cfg.wy.grid_size,
+        "seed": seed,
+        "refit_bandwidths": cfg.wy.refit_bandwidths,
         "results": [
             asdict(r) | {"overlap": overlap[r.feature]} for r in report.results
         ],

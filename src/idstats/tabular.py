@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DataQualityWarning
+from .errors import ConfigError, DataError, DataQualityWarning
 
 ROLES = ("numeric", "categorical", "label", "drop")
 ENCODINGS = ("frequency", "dummy", "integer-label")
@@ -58,6 +58,16 @@ def validate_schema(schema: list[ColumnSchema]) -> None:
     n_labels = sum(1 for c in schema if c.role == "label")
     if n_labels != 1:
         raise DataError(f"schema must have exactly one label column, found {n_labels}")
+
+
+def check_feature_list(features: tuple[str, ...] | None) -> None:
+    """An analysis's feature list: null (the selected set) or distinct names."""
+    # an empty list would analyse nothing
+    if features == ():
+        raise ConfigError("features must be a non-empty list of feature names")
+    for i, name in enumerate(features or ()):
+        if name in features[:i]:
+            raise ConfigError(f"features lists {name!r} more than once")
 
 
 @dataclass(frozen=True)

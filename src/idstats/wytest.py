@@ -19,9 +19,9 @@ from .density import (
     make_grid,
     to_mass_pair,
 )
-from .errors import DataError, DataQualityWarning
+from .errors import ConfigError, DataError, DataQualityWarning
 from .parallel import ordered_map
-from .tabular import ColumnTable
+from .tabular import ColumnTable, check_feature_list
 
 SMALL_GROUP_WARNING = 20
 
@@ -34,46 +34,50 @@ _CV_TAG_B = 3
 
 @dataclass(frozen=True)
 class WyConfig:
-    """Test configuration: class pair, permutation budget, and KDE policy.
+    """The test's settings, which are the ``wy:`` section of the run config.
 
     Attributes:
-        class_a, class_b: class names to contrast.
+        classes: the class pair to contrast; may stay None until the stage
+            runs (``--classes`` can supply it), and the test then needs it.
         permutations: B, the permutation count.
         alpha: significance level in (0, 1).
-        bandwidth_policy: "scott", "silverman", or "cv".
+        bandwidth: "scott", "silverman", or "cv".
         grid_size: shared evaluation grid length.
-        seed: master seed; all child streams derive from it.
         cv_candidates: candidate count for the cv policy inside the test
             (a coarse grid keeps the permutation loop affordable).
         cv_folds: folds for the cv policy inside the test.
         refit_bandwidths: refit bandwidths on every permutation (default);
             when false, the observed bandwidths are frozen and reused.
+        features: the features to test; None means the selected set.
     """
 
-    class_a: str
-    class_b: str
+    classes: tuple[str, str] | None = None
     permutations: int = 1000
     alpha: float = 0.05
-    bandwidth_policy: str = "cv"
+    bandwidth: str = "cv"
     grid_size: int = 512
-    seed: int = 0
     cv_candidates: int = 10
     cv_folds: int = 3
     refit_bandwidths: bool = True
+    features: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.class_a == self.class_b:
-            raise DataError("class pair must name two distinct classes")
+        if self.classes is not None:
+            if len(self.classes) != 2 or not all(self.classes):
+                raise ConfigError("classes must be two non-empty class names")
+            if self.classes[0] == self.classes[1]:
+                raise ConfigError("class pair must name two distinct classes")
         if self.permutations < 1:
-            raise DataError("permutations must be >= 1")
+            raise ConfigError("permutations must be >= 1")
         if not 0.0 < self.alpha < 1.0:
-            raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.bandwidth_policy not in BANDWIDTH_POLICIES:
-            raise DataError(f"unknown bandwidth policy {self.bandwidth_policy!r}")
+            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        if self.bandwidth not in BANDWIDTH_POLICIES:
+            raise ConfigError(f"unknown bandwidth policy {self.bandwidth!r}")
         if self.grid_size < 2:
-            raise DataError("grid_size must be >= 2")
+            raise ConfigError("grid_size must be >= 2")
         if self.cv_candidates < 1 or self.cv_folds < 2:
-            raise DataError("cv_candidates must be >= 1 and cv_folds >= 2")
+            raise ConfigError("cv_candidates must be >= 1 and cv_folds >= 2")
+        check_feature_list(self.features)
 
 
 @dataclass(frozen=True)
@@ -99,14 +103,19 @@ class WyTestReport:
     config: WyConfig
 
 
-def _pair_seed(cfg: WyConfig, tag: int, b: int, feature_index: int) -> list[int]:
-    return [cfg.seed, tag, b, feature_index]
+def _side_bandwidth(x: np.ndarray, cfg: WyConfig, seed_path: list[int]) -> float:
+    """One side's bandwidth; only the cv policy draws from ``seed_path``."""
+    if cfg.bandwidth != "cv":
+        return bandwidth_for(x, cfg.bandwidth)
+    candidates = default_cv_candidates(x, cfg.cv_candidates)
+    return bandwidth_for(x, "cv", seed_path, candidates, cfg.cv_folds)
 
 
 def _pair_statistic(
     xa: np.ndarray,
     xb: np.ndarray,
     cfg: WyConfig,
+    seed: int,
     b: int,
     feature_index: int,
     frozen: tuple[float, float] | None = None,
@@ -120,26 +129,12 @@ def _pair_statistic(
     if frozen is not None:
         h_a, h_b = frozen
     else:
-        if cfg.bandwidth_policy == "cv":
-            h_a = bandwidth_for(
-                xa, "cv",
-                seed=_pair_seed(cfg, _CV_TAG_A, b, feature_index),
-                candidates=default_cv_candidates(xa, cfg.cv_candidates),
-                folds=cfg.cv_folds,
-            )
-            h_b = bandwidth_for(
-                xb, "cv",
-                seed=_pair_seed(cfg, _CV_TAG_B, b, feature_index),
-                candidates=default_cv_candidates(xb, cfg.cv_candidates),
-                folds=cfg.cv_folds,
-            )
-        else:
-            h_a = bandwidth_for(xa, cfg.bandwidth_policy)
-            h_b = bandwidth_for(xb, cfg.bandwidth_policy)
+        h_a = _side_bandwidth(xa, cfg, [seed, _CV_TAG_A, b, feature_index])
+        h_b = _side_bandwidth(xb, cfg, [seed, _CV_TAG_B, b, feature_index])
     grid = make_grid([xa, xb], max(h_a, h_b), cfg.grid_size)
     pair = to_mass_pair(
-        KdeModel(samples=xa, bandwidth=h_a, policy=cfg.bandwidth_policy),
-        KdeModel(samples=xb, bandwidth=h_b, policy=cfg.bandwidth_policy),
+        KdeModel(samples=xa, bandwidth=h_a, policy=cfg.bandwidth),
+        KdeModel(samples=xb, bandwidth=h_b, policy=cfg.bandwidth),
         grid,
     )
     return js_distance(pair), h_a, h_b, pair
@@ -165,19 +160,23 @@ def class_pair_columns(
     (matrix (p, n_a + n_b), n_a, n_b). Warns once for each class under
     SMALL_GROUP_WARNING rows. Rejects, before any statistic is computed, a
     class under 2 rows, or under cv_folds rows with ``bandwidth: cv``."""
-    id_a = table.vocabulary.id_of(cfg.class_a)
-    id_b = table.vocabulary.id_of(cfg.class_b)
-    mask_a = table.labels == id_a
-    mask_b = table.labels == id_b
+    if cfg.classes is None:
+        raise ConfigError(
+            "the permutation test needs a class pair; set wy.classes in the "
+            "config or pass --classes V,W"
+        )
+    class_a, class_b = cfg.classes
+    mask_a = table.labels == table.vocabulary.id_of(class_a)
+    mask_b = table.labels == table.vocabulary.id_of(class_b)
     n_a, n_b = int(mask_a.sum()), int(mask_b.sum())
-    for name, count in ((cfg.class_a, n_a), (cfg.class_b, n_b)):
+    for name, count in ((class_a, n_a), (class_b, n_b)):
         if count == 0:
             raise DataError(f"class {name!r} has no rows")
-        least = cfg.cv_folds if cfg.bandwidth_policy == "cv" else 2
+        least = cfg.cv_folds if cfg.bandwidth == "cv" else 2
         if count < least:
             raise DataError(
                 f"class {name!r} has {count} row(s); a density under "
-                f"bandwidth: {cfg.bandwidth_policy} needs at least {least}"
+                f"bandwidth: {cfg.bandwidth} needs at least {least}"
             )
         if count < SMALL_GROUP_WARNING:
             warnings.warn(
@@ -195,7 +194,7 @@ def class_pair_columns(
 
 
 def _observed_feature(shared: tuple, i: int) -> ObservedFeature:
-    pooled, n_a, features, cfg = shared
+    pooled, n_a, features, cfg, seed = shared
     values = pooled[i]
     if np.all(values == values[0]):
         warnings.warn(
@@ -204,7 +203,7 @@ def _observed_feature(shared: tuple, i: int) -> ObservedFeature:
             stacklevel=2,
         )
     stat, h_a, h_b, pair = _pair_statistic(
-        values[:n_a], values[n_a:], cfg, b=0, feature_index=i
+        values[:n_a], values[n_a:], cfg, seed, b=0, feature_index=i
     )
     return ObservedFeature(features[i], stat, h_a, h_b, pair, n_a, values.size - n_a)
 
@@ -215,16 +214,17 @@ def observed_details(
     cfg: WyConfig,
     workers: int = 1,
     columns: tuple[np.ndarray, int, int] | None = None,
+    seed: int = 0,
 ) -> list[ObservedFeature]:
     """Observed per-feature statistics with bandwidths and mass pairs.
 
     The features run on ``workers`` processes; the results do not depend on
     it. ``columns`` is a class_pair_columns result for the same features to
-    reuse; it is built here when omitted.
+    reuse; it is built here when omitted. ``seed`` is wy_maxT's master seed.
     """
     pooled, n_a, _ = columns or class_pair_columns(table, features, cfg)
     return ordered_map(
-        _observed_feature, range(len(features)), (pooled, n_a, features, cfg),
+        _observed_feature, range(len(features)), (pooled, n_a, features, cfg, seed),
         workers=workers,
     )
 
@@ -232,23 +232,23 @@ def observed_details(
 def _permutation_rows(shared: tuple, b_values: list[int]) -> np.ndarray:
     """T_{i,b} for every feature i and each b in b_values (rows are b).
 
-    ``shared`` is (pooled, n_a, cfg, frozen): the pooled class-pair matrix,
-    the class-a row count, the test configuration and the frozen bandwidths
-    (None when they are refit).
+    ``shared`` is (pooled, n_a, cfg, seed, frozen): the pooled class-pair
+    matrix, the class-a row count, the test configuration, the master seed
+    and the frozen bandwidths (None when they are refit).
     """
-    pooled, n_a, cfg, frozen = shared
+    pooled, n_a, cfg, seed, frozen = shared
     n = pooled.shape[1]
     out = np.empty((len(b_values), pooled.shape[0]), dtype=np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataQualityWarning)
         for row, b in enumerate(b_values):
-            perm = np.random.default_rng([cfg.seed, _PERM_TAG, b]).permutation(n)
+            perm = np.random.default_rng([seed, _PERM_TAG, b]).permutation(n)
             # row j receives the label of source row perm[j]
             to_a = perm < n_a
             for i in range(pooled.shape[0]):
                 feature_frozen = frozen[i] if frozen is not None else None
                 stat, _, _, _ = _pair_statistic(
-                    pooled[i, to_a], pooled[i, ~to_a], cfg, b=b,
+                    pooled[i, to_a], pooled[i, ~to_a], cfg, seed, b=b,
                     feature_index=i, frozen=feature_frozen,
                 )
                 out[row, i] = stat
@@ -262,6 +262,7 @@ def wy_maxT(
     workers: int = 1,
     observed: list[ObservedFeature] | None = None,
     columns: tuple[np.ndarray, int, int] | None = None,
+    seed: int = 0,
 ) -> WyTestReport:
     """Run the single-step maxT permutation test.
 
@@ -280,6 +281,7 @@ def wy_maxT(
             when omitted.
         columns: precomputed class_pair_columns output for the same features
             to reuse; built here when omitted.
+        seed: master seed of the permutation and bandwidth-CV streams.
     """
     if not features:
         raise DataError("wy_maxT needs at least one feature")
@@ -287,7 +289,7 @@ def wy_maxT(
     pooled, n_a, n_b = columns
     if observed is None:
         observed = observed_details(
-            table, features, cfg, workers=workers, columns=columns
+            table, features, cfg, workers=workers, columns=columns, seed=seed
         )
     elif [d.feature for d in observed] != list(features):
         raise DataError("observed details do not match the feature list")
@@ -302,7 +304,7 @@ def wy_maxT(
     chunk_size = max(1, -(-cfg.permutations // (max(workers, 1) * 4)))
     chunks = [b_values[i : i + chunk_size] for i in range(0, len(b_values), chunk_size)]
     parts = ordered_map(
-        _permutation_rows, chunks, (pooled, n_a, cfg, frozen), workers=workers
+        _permutation_rows, chunks, (pooled, n_a, cfg, seed, frozen), workers=workers
     )
     stat_rows = np.vstack(parts)
 
@@ -339,12 +341,10 @@ class WyDecision:
     family_reject: bool
 
 
-def decide(report: WyTestReport, alpha: float | None = None) -> WyDecision:
+def decide(report: WyTestReport) -> WyDecision:
     """Reject H0 for feature i iff p_i < alpha; family H0 falls with any of them."""
-    level = report.config.alpha if alpha is None else alpha
-    if not 0.0 < level < 1.0:
-        raise DataError(f"alpha must be in (0, 1), got {level}")
-    rejected = {r.feature: r.p_value < level for r in report.results}
+    alpha = report.config.alpha
+    rejected = {r.feature: r.p_value < alpha for r in report.results}
     return WyDecision(
-        alpha=level, rejected=rejected, family_reject=any(rejected.values())
+        alpha=alpha, rejected=rejected, family_reject=any(rejected.values())
     )

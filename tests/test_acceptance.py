@@ -89,10 +89,9 @@ def _adjusted_p_bounds_and_monotonicity() -> None:
     }
     table = ColumnTable(cols, np.repeat([0, 1], n), LabelVocabulary(names=("a", "b")))
     cfg = WyConfig(
-        class_a="a", class_b="b", permutations=120,
-        bandwidth_policy="scott", grid_size=128, seed=7,
+        classes=("a", "b"), permutations=120, bandwidth="scott", grid_size=128,
     )
-    report = wy_maxT(table, list(cols), cfg)
+    report = wy_maxT(table, list(cols), cfg, seed=7)
     lo = 1.0 / (cfg.permutations + 1)
     last = 0.0
     for r in sorted(report.results, key=lambda r: r.statistic, reverse=True):
@@ -244,11 +243,8 @@ def test_criterion_2_null_error_control(capsys):
     hits = 0
     for rep_id in range(20):
         table = _seven_feature_table(np.random.default_rng([777, rep_id]), 0.0)
-        cfg = WyConfig(
-            class_a="a", class_b="b", permutations=200,
-            bandwidth_policy="scott", seed=rep_id,
-        )
-        report = wy_maxT(table, features, cfg, workers=4)
+        cfg = WyConfig(classes=("a", "b"), permutations=200, bandwidth="scott")
+        report = wy_maxT(table, features, cfg, workers=4, seed=rep_id)
         hits += min(r.p_value for r in report.results) < 0.05
     elapsed = time.perf_counter() - started
     with announced("criterion 2 (null FWER control)", capsys):
@@ -272,11 +268,8 @@ def _trapezoid(y: np.ndarray, x: np.ndarray) -> float:
 def test_criterion_3_shifted_alternative(capsys):
     table = _seven_feature_table(np.random.default_rng([778, 0]), 2.0)
     features = [f"f{i + 1}" for i in range(7)]
-    cfg = WyConfig(
-        class_a="a", class_b="b", permutations=1000,
-        bandwidth_policy="scott", seed=5,
-    )
-    report = wy_maxT(table, features, cfg, workers=4)
+    cfg = WyConfig(classes=("a", "b"), permutations=1000, bandwidth="scott")
+    report = wy_maxT(table, features, cfg, workers=4, seed=5)
 
     # independent oracle: continuous JS integral of the two fitted KDEs for
     # the shifted feature, trapezoid rule on a fine grid

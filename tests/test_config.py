@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import re
 
+import numpy as np
 import pytest
 
 from idstats.config import apply_overrides, config_echo, parse_config
-from idstats.errors import ConfigError
+from idstats.errors import ConfigError, DataQualityWarning
+from idstats.tabular import ColumnTable, LabelVocabulary
+from idstats.wytest import WyConfig, class_pair_columns
 
 
 def doc(**sections) -> dict:
@@ -88,6 +91,9 @@ def test_cv_grids_reject_values_of_the_wrong_kind(family, key, bad):
         ("wy", "cv_candidates", 0, "cv_candidates"),
         ("wy", "grid_size", 1, "grid_size"),
         ("wy", "classes", ["A", "A"], "distinct"),
+        ("wy", "classes", ["", "Wormhole"], "two non-empty class names"),
+        ("wy", "classes", ["A"], "two non-empty class names"),
+        ("wy", "classes", ["A", "B", "C"], "two non-empty class names"),
         ("density", "policy", "foo", "policy"),
         ("density", "grid_size", 1, "grid_size"),
         ("density", "features", [], "features"),
@@ -135,10 +141,33 @@ def test_preprocess_rfe_and_cv_boundary_values_are_accepted():
 def test_wy_values_need_no_class_pair_until_the_stage_runs():
     cfg = parse_config(doc(wy={"permutations": 10, "bandwidth": "scott"}))
     assert cfg.wy.classes is None
-    with pytest.raises(ConfigError, match="class pair"):
-        cfg.wy.to_wy_config(seed=0)
-    wy = apply_overrides(cfg, classes=("A", "B")).wy.to_wy_config(seed=0)
-    assert (wy.class_a, wy.class_b, wy.permutations) == ("A", "B", 10)
+    table = ColumnTable(
+        {"x": np.arange(4.0)}, np.array([0, 0, 1, 1]), LabelVocabulary(names=("A", "B"))
+    )
+    # the class-pair columns are the first thing the test needs the pair for
+    with pytest.raises(ConfigError, match="class pair; set wy.classes .* --classes V,W"):
+        class_pair_columns(table, ["x"], cfg.wy)
+    wy = apply_overrides(cfg, classes=("A", "B")).wy
+    assert (wy.classes, wy.permutations) == (("A", "B"), 10)
+    with pytest.warns(DataQualityWarning, match="only 2 rows"):
+        _, n_a, n_b = class_pair_columns(table, ["x"], wy)
+    assert (n_a, n_b) == (2, 2)
+
+
+def test_the_wy_section_is_the_test_config():
+    assert parse_config(doc()).wy == WyConfig()
+    wy = parse_config(EVERY_FIELD).wy
+    assert wy == WyConfig(
+        classes=("A", "B"),
+        permutations=99,
+        alpha=0.1,
+        bandwidth="scott",
+        grid_size=128,
+        cv_candidates=4,
+        cv_folds=2,
+        refit_bandwidths=False,
+        features=("rate", "proto_tcp"),
+    )
 
 
 @pytest.mark.parametrize(
@@ -148,6 +177,8 @@ def test_wy_values_need_no_class_pair_until_the_stage_runs():
         ({"alpha": 2.0}, "alpha"),
         ({"bandwidth": "foo"}, "policy"),
         ({"classes": ("A", "A")}, "distinct"),
+        ({"classes": ("A", "")}, "non-empty"),
+        ({"classes": ("A", "B", "C")}, "two non-empty"),
         ({"seed": -1}, "seed"),
         ({"threads": 0}, "threads"),
     ],

@@ -340,6 +340,94 @@ def test_wy_cli_overrides(run_dir):
     assert len(fragment["max_trace"]) == 12
 
 
+def _report_config_wy(run_dir: Path, tmp_path: Path, wy_section: dict | None) -> dict:
+    """report.json's wy echo, re-merged from the module run's fragments under
+    a config whose wy section is ``wy_section`` (None leaves the section out)."""
+    shutil.copytree(run_dir / "out" / "fragments", tmp_path / "out" / "fragments")
+    doc = yaml.safe_load(CONFIG_YAML)
+    doc["input"] = str(run_dir / "data.csv")
+    del doc["wy"]
+    if wy_section is not None:
+        doc["wy"] = wy_section
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert cli.main(["report", "--config", str(tmp_path / "run.yaml")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    return report["config"]["wy"]
+
+
+def test_report_echoes_the_wy_defaults(run_dir, tmp_path):
+    assert _report_config_wy(run_dir, tmp_path, None) == {
+        "classes": None,
+        "permutations": 1000,
+        "alpha": 0.05,
+        "bandwidth": "cv",
+        "grid_size": 512,
+        "cv_candidates": 10,
+        "cv_folds": 3,
+        "refit_bandwidths": True,
+        "features": None,
+    }
+
+
+def test_report_echoes_every_wy_key(run_dir, tmp_path):
+    section = {
+        "classes": ["flood", "normal"],
+        "permutations": 7,
+        "alpha": 0.2,
+        "bandwidth": "silverman",
+        "grid_size": 33,
+        "cv_candidates": 4,
+        "cv_folds": 2,
+        "refit_bandwidths": False,
+        "features": ["delay", "rate"],
+    }
+    assert _report_config_wy(run_dir, tmp_path, section) == {
+        "classes": ["flood", "normal"],
+        "permutations": 7,
+        "alpha": 0.2,
+        "bandwidth": "silverman",
+        "grid_size": 33,
+        "cv_candidates": 4,
+        "cv_folds": 2,
+        "refit_bandwidths": False,
+        "features": ["delay", "rate"],
+    }
+
+
+def _colliding_names_config(tmp_path: Path):
+    """The CLI dataset with delay and jitter renamed to 'Mean Delay' and
+    'Mean_Delay', both listed for density and wy, after preprocess ran."""
+    write_dataset(tmp_path / "data.csv")
+    lines = (tmp_path / "data.csv").read_text(encoding="utf-8").split("\n", 1)
+    header = lines[0].replace("delay", "Mean Delay").replace("jitter", "Mean_Delay")
+    (tmp_path / "data.csv").write_text(header + "\n" + lines[1], encoding="utf-8")
+    doc = yaml.safe_load(CONFIG_YAML)
+    schema = doc["schema"]
+    doc["schema"] = {
+        {"delay": "Mean Delay", "jitter": "Mean_Delay"}.get(name, name): role
+        for name, role in schema.items()
+    }
+    features = ["rate", "Mean Delay", "Mean_Delay"]
+    doc["density"]["features"] = features
+    doc["wy"]["features"] = features
+    cfg = parse_config(doc, tmp_path)
+    run_stage(cfg, "preprocess")
+    return cfg
+
+
+@pytest.mark.parametrize("stage", ["density", "wy"])
+def test_features_sharing_a_plot_file_name_are_rejected(tmp_path, stage):
+    cfg = _colliding_names_config(tmp_path)
+    message = (
+        "features 'Mean Delay' and 'Mean_Delay' would share the plot-data "
+        "file name 'Mean_Delay'"
+    )
+    with pytest.raises(DataError, match=message):
+        run_stage(cfg, stage)
+    assert not (cfg.output / "plotdata").exists()
+    assert not (cfg.output / "fragments" / f"{stage}.json").exists()
+
+
 def test_stage_order_is_enforced(tmp_path, capsys):
     write_dataset(tmp_path / "data.csv")
     (tmp_path / "run.yaml").write_text(CONFIG_YAML, encoding="utf-8")
@@ -358,6 +446,8 @@ def test_usage_and_config_errors_exit_1(tmp_path, capsys):
     assert cli.main(["preprocess", "--config", str(tmp_path / "nope.yaml")]) == 1
     assert cli.main(["frobnicate", "--config", str(cfg)]) == 1
     assert cli.main(["wy", "--config", str(cfg), "--classes", "onlyone"]) == 1
+    assert cli.main(["wy", "--config", str(cfg), "--classes", "a,b,c"]) == 1
+    assert cli.main(["wy", "--config", str(cfg), "--classes", "a,"]) == 1
     assert cli.main(["wy", "--config", str(cfg), "--bandwidth", "kernelx"]) == 1
 
     bad = tmp_path / "bad.yaml"
@@ -365,6 +455,23 @@ def test_usage_and_config_errors_exit_1(tmp_path, capsys):
     assert cli.main(["preprocess", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "unknown_section" in err
+
+
+def test_bad_wy_flags_and_a_missing_class_pair_exit_1(run_dir, tmp_path, capsys):
+    shutil.copytree(run_dir / "out" / "artifacts", tmp_path / "out" / "artifacts")
+    text = CONFIG_YAML.replace("input: data.csv", f"input: {run_dir / 'data.csv'}")
+    (tmp_path / "run.yaml").write_text(text, encoding="utf-8")
+    (tmp_path / "nopair.yaml").write_text(
+        text.replace("  classes: [attack, flood]\n", ""), encoding="utf-8"
+    )
+    assert cli.main(["wy", "--config", str(tmp_path / "run.yaml"), "--alpha", "2"]) == 1
+    assert "alpha must be in (0, 1)" in capsys.readouterr().err
+    rc = cli.main(["wy", "--config", str(tmp_path / "run.yaml"), "--permutations", "0"])
+    assert rc == 1
+    assert "permutations must be >= 1" in capsys.readouterr().err
+    assert cli.main(["wy", "--config", str(tmp_path / "nopair.yaml")]) == 1
+    assert "needs a class pair" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fragments" / "wy.json").exists()
 
 
 def test_json_config_is_accepted(tmp_path):

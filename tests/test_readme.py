@@ -20,7 +20,9 @@ def _library_use_block() -> str:
 
 def test_readme_library_use_block_runs(capsys):
     exec(compile(_library_use_block(), str(README), "exec"), {})
-    printed = capsys.readouterr().out.split()
-    assert len(printed) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2
     # two unit-variance normals two standard deviations apart
     assert float(printed[0]) == pytest.approx(0.697, abs=5e-3)
+    # the max-T test rejects the shifted feature and keeps the noise
+    assert printed[1] == "{'shifted': True, 'noise': False}"

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from idstats.density import bandwidth_for, js_distance, make_grid, to_mass_pair
 from idstats.density import KdeModel
-from idstats.errors import DataError, DataQualityWarning
+from idstats.errors import ConfigError, DataError, DataQualityWarning
 from idstats.tabular import ColumnTable, LabelVocabulary
 from idstats.wytest import (
     WyConfig,
@@ -32,28 +33,41 @@ def two_class_table(n_a=60, n_b=60, shift=0.0, seed=0, extra_null=True):
     return ColumnTable(cols, labels, vocab)
 
 
+# master seed of every test below that does not pick its own
+SEED = 3
+
+
 def scott_config(**kwargs):
     defaults = dict(
-        class_a="atk", class_b="norm", permutations=50,
-        bandwidth_policy="scott", grid_size=128, seed=3,
+        classes=("atk", "norm"), permutations=50, bandwidth="scott", grid_size=128,
     )
     defaults.update(kwargs)
     return WyConfig(**defaults)
 
 
 def test_config_validation():
-    with pytest.raises(DataError, match="distinct"):
-        WyConfig(class_a="x", class_b="x")
-    with pytest.raises(DataError, match="permutations"):
-        WyConfig(class_a="a", class_b="b", permutations=0)
-    with pytest.raises(DataError, match="alpha"):
-        WyConfig(class_a="a", class_b="b", alpha=1.0)
-    with pytest.raises(DataError, match="policy"):
-        WyConfig(class_a="a", class_b="b", bandwidth_policy="plugin")
-    with pytest.raises(DataError, match="grid_size"):
-        WyConfig(class_a="a", class_b="b", grid_size=1)
-    with pytest.raises(DataError, match="cv_"):
-        WyConfig(class_a="a", class_b="b", cv_folds=1)
+    with pytest.raises(ConfigError, match="distinct"):
+        WyConfig(classes=("x", "x"))
+    with pytest.raises(ConfigError, match="two non-empty class names"):
+        WyConfig(classes=("", "b"))
+    with pytest.raises(ConfigError, match="permutations"):
+        WyConfig(permutations=0)
+    with pytest.raises(ConfigError, match="alpha"):
+        WyConfig(alpha=1.0)
+    with pytest.raises(ConfigError, match="policy"):
+        WyConfig(bandwidth="plugin")
+    with pytest.raises(ConfigError, match="grid_size"):
+        WyConfig(grid_size=1)
+    with pytest.raises(ConfigError, match="cv_"):
+        WyConfig(cv_folds=1)
+    with pytest.raises(ConfigError, match="features"):
+        WyConfig(features=())
+
+
+def test_the_test_needs_a_class_pair():
+    table = two_class_table(seed=0)
+    with pytest.raises(ConfigError, match="class pair"):
+        wy_maxT(table, ["sig"], scott_config(classes=None))
 
 
 def test_trace_entries_match_independently_recomputed_statistics():
@@ -61,7 +75,7 @@ def test_trace_entries_match_independently_recomputed_statistics():
     # the pooled labels ourselves and rerunning the KDE arithmetic
     table = two_class_table(n_a=40, n_b=30, shift=1.0, seed=1, extra_null=False)
     cfg = scott_config(permutations=5)
-    report = wy_maxT(table, ["sig"], cfg)
+    report = wy_maxT(table, ["sig"], cfg, seed=SEED)
     pooled = np.concatenate(
         [
             table.column("sig")[table.labels == 0],
@@ -71,7 +85,7 @@ def test_trace_entries_match_independently_recomputed_statistics():
     labels = np.repeat([0, 1], [40, 30])
     for b in range(1, 6):
         # the b-th permutation stream is keyed by (seed, 1, b)
-        perm = np.random.default_rng([cfg.seed, 1, b]).permutation(labels.size)
+        perm = np.random.default_rng([SEED, 1, b]).permutation(labels.size)
         permuted = labels[perm]
         xa = pooled[permuted == 0]
         xb = pooled[permuted == 1]
@@ -89,7 +103,7 @@ def test_trace_entries_match_independently_recomputed_statistics():
 def test_p_values_follow_the_exceedance_formula():
     table = two_class_table(shift=2.5, seed=2)
     cfg = scott_config(permutations=40)
-    report = wy_maxT(table, ["sig", "noise"], cfg)
+    report = wy_maxT(table, ["sig", "noise"], cfg, seed=SEED)
     assert report.max_trace.shape == (40,)
     for r in report.results:
         exceed = int(np.sum(report.max_trace >= r.statistic))
@@ -108,7 +122,7 @@ def test_p_values_follow_the_exceedance_formula():
 def test_p_value_bounds_and_monotonicity():
     table = two_class_table(shift=0.8, seed=4)
     cfg = scott_config(permutations=30)
-    report = wy_maxT(table, ["sig", "noise"], cfg)
+    report = wy_maxT(table, ["sig", "noise"], cfg, seed=SEED)
     by_stat = sorted(report.results, key=lambda r: r.statistic, reverse=True)
     lo = 1 / (cfg.permutations + 1)
     last_p = 0.0
@@ -125,7 +139,7 @@ def test_duplicate_features_share_the_permutation_stream():
         table.labels,
         table.vocabulary,
     )
-    report = wy_maxT(twin, ["sig", "copy"], scott_config(permutations=20))
+    report = wy_maxT(twin, ["sig", "copy"], scott_config(permutations=20), seed=SEED)
     a, b = report.results
     assert a.statistic == b.statistic
     assert a.p_value == b.p_value
@@ -134,8 +148,8 @@ def test_duplicate_features_share_the_permutation_stream():
 def test_worker_count_does_not_change_results():
     table = two_class_table(shift=1.2, seed=6)
     cfg = scott_config(permutations=24)
-    serial = wy_maxT(table, ["sig", "noise"], cfg, workers=1)
-    parallel = wy_maxT(table, ["sig", "noise"], cfg, workers=3)
+    serial = wy_maxT(table, ["sig", "noise"], cfg, workers=1, seed=SEED)
+    parallel = wy_maxT(table, ["sig", "noise"], cfg, workers=3, seed=SEED)
     assert np.array_equal(serial.max_trace, parallel.max_trace)
     for rs, rp in zip(serial.results, parallel.results):
         assert rs == rp
@@ -144,16 +158,16 @@ def test_worker_count_does_not_change_results():
 def test_frozen_bandwidths_are_reused_from_the_observed_fit():
     table = two_class_table(shift=1.0, seed=7)
     frozen_cfg = scott_config(permutations=15, refit_bandwidths=False)
-    observed = observed_details(table, ["sig", "noise"], frozen_cfg)
-    report = wy_maxT(table, ["sig", "noise"], frozen_cfg, observed=observed)
+    observed = observed_details(table, ["sig", "noise"], frozen_cfg, seed=SEED)
+    report = wy_maxT(table, ["sig", "noise"], frozen_cfg, observed=observed, seed=SEED)
     for r, d in zip(report.results, observed):
         assert r.bandwidth_a == d.bandwidth_a
         assert r.bandwidth_b == d.bandwidth_b
     # refitting per permutation changes the null statistics
-    refit = wy_maxT(table, ["sig", "noise"], scott_config(permutations=15, seed=7))
+    refit = wy_maxT(table, ["sig", "noise"], scott_config(permutations=15), seed=7)
     frozen7 = wy_maxT(
         table, ["sig", "noise"],
-        scott_config(permutations=15, seed=7, refit_bandwidths=False),
+        scott_config(permutations=15, refit_bandwidths=False), seed=7,
     )
     assert not np.array_equal(refit.max_trace, frozen7.max_trace)
 
@@ -161,20 +175,20 @@ def test_frozen_bandwidths_are_reused_from_the_observed_fit():
 def test_precomputed_observed_must_match_the_feature_list():
     table = two_class_table(seed=8)
     cfg = scott_config(permutations=5)
-    observed = observed_details(table, ["sig"], cfg)
+    observed = observed_details(table, ["sig"], cfg, seed=SEED)
     with pytest.raises(DataError, match="match"):
-        wy_maxT(table, ["sig", "noise"], cfg, observed=observed)
-    with_obs = wy_maxT(table, ["sig"], cfg, observed=observed)
-    without = wy_maxT(table, ["sig"], cfg)
+        wy_maxT(table, ["sig", "noise"], cfg, observed=observed, seed=SEED)
+    with_obs = wy_maxT(table, ["sig"], cfg, observed=observed, seed=SEED)
+    without = wy_maxT(table, ["sig"], cfg, seed=SEED)
     assert with_obs.results == without.results
 
 
 def test_observed_details_are_symmetric_in_the_class_pair():
     table = two_class_table(shift=0.5, seed=9)
     cfg = scott_config()
-    details = observed_details(table, ["sig", "noise"], cfg)
+    details = observed_details(table, ["sig", "noise"], cfg, seed=SEED)
     swapped = observed_details(
-        table, ["sig", "noise"], scott_config(class_a="norm", class_b="atk")
+        table, ["sig", "noise"], scott_config(classes=("norm", "atk")), seed=SEED
     )
     for d, s in zip(details, swapped):
         assert s.feature == d.feature
@@ -186,12 +200,11 @@ def test_observed_details_are_symmetric_in_the_class_pair():
 def test_cv_policy_runs_and_is_deterministic():
     table = two_class_table(n_a=40, n_b=40, shift=1.5, seed=10, extra_null=False)
     cfg = WyConfig(
-        class_a="atk", class_b="norm", permutations=8,
-        bandwidth_policy="cv", grid_size=64, seed=2,
-        cv_candidates=5, cv_folds=3,
+        classes=("atk", "norm"), permutations=8,
+        bandwidth="cv", grid_size=64, cv_candidates=5, cv_folds=3,
     )
-    r1 = wy_maxT(table, ["sig"], cfg)
-    r2 = wy_maxT(table, ["sig"], cfg)
+    r1 = wy_maxT(table, ["sig"], cfg, seed=2)
+    r2 = wy_maxT(table, ["sig"], cfg, seed=2)
     assert r1.results == r2.results
     assert np.array_equal(r1.max_trace, r2.max_trace)
     assert r1.results[0].bandwidth_a > 0.0
@@ -200,14 +213,14 @@ def test_cv_policy_runs_and_is_deterministic():
 def test_small_groups_and_constant_features_warn():
     table = two_class_table(n_a=10, n_b=25, seed=11, extra_null=False)
     with pytest.warns(DataQualityWarning, match="only 10 rows"):
-        wy_maxT(table, ["sig"], scott_config(permutations=3))
+        wy_maxT(table, ["sig"], scott_config(permutations=3), seed=SEED)
     flat = ColumnTable(
         {"flat": np.zeros(50)},
         np.repeat([0, 1], 25),
         LabelVocabulary(names=("atk", "norm")),
     )
     with pytest.warns(DataQualityWarning) as records:
-        details = observed_details(flat, ["flat"], scott_config(permutations=3))
+        details = observed_details(flat, ["flat"], scott_config(permutations=3), seed=SEED)
     assert any("constant" in str(r.message) for r in records)
     assert details[0].statistic == 0.0
 
@@ -217,7 +230,10 @@ def test_small_class_warns_once_per_test():
     for workers in (1, 2):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            wy_maxT(table, ["sig", "noise"], scott_config(permutations=4), workers=workers)
+            wy_maxT(
+                table, ["sig", "noise"], scott_config(permutations=4),
+                workers=workers, seed=SEED,
+            )
         small = [w for w in caught if "only 10 rows" in str(w.message)]
         assert len(small) == 1
 
@@ -226,7 +242,7 @@ def test_missing_class_and_empty_features_fail():
     table = two_class_table(seed=12)
     cfg = scott_config(permutations=3)
     with pytest.raises(DataError, match="at least one feature"):
-        wy_maxT(table, [], cfg)
+        wy_maxT(table, [], cfg, seed=SEED)
     only_a = ColumnTable(
         {"sig": np.arange(5.0)}, np.zeros(5, dtype=np.int64),
         LabelVocabulary(names=("atk", "norm")),
@@ -234,19 +250,25 @@ def test_missing_class_and_empty_features_fail():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataQualityWarning)
         with pytest.raises(DataError, match="'norm' has no rows"):
-            observed_details(only_a, ["sig"], cfg)
+            observed_details(only_a, ["sig"], cfg, seed=SEED)
 
 
 def test_decide_applies_the_threshold():
     table = two_class_table(shift=2.5, seed=13)
-    report = wy_maxT(table, ["sig", "noise"], scott_config(permutations=60))
+    report = wy_maxT(table, ["sig", "noise"], scott_config(permutations=60), seed=SEED)
     decision = decide(report)
     assert decision.alpha == 0.05
     assert decision.rejected["sig"] is True
     assert decision.rejected["noise"] is False
     assert decision.family_reject
-    strict = decide(report, alpha=1 / 62)
+
+    def at_level(alpha):
+        # the level is the test's own: it comes from the report's config
+        return decide(replace(report, config=replace(report.config, alpha=alpha)))
+
+    strict = at_level(1 / 62)
+    assert strict.alpha == 1 / 62
     assert not strict.rejected["noise"]
-    assert not decide(report, alpha=1 / 200).family_reject
-    with pytest.raises(DataError):
-        decide(report, alpha=0.0)
+    assert not at_level(1 / 200).family_reject
+    with pytest.raises(ConfigError):
+        at_level(0.0)
