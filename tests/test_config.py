@@ -91,15 +91,15 @@ def test_cv_grids_reject_values_of_the_wrong_kind(family, key, bad):
         ("wy", "cv_candidates", 0, "cv_candidates"),
         ("wy", "grid_size", 1, "grid_size"),
         ("wy", "classes", ["A", "A"], "distinct"),
-        ("wy", "classes", ["", "Wormhole"], "two non-empty class names"),
-        ("wy", "classes", ["A"], "two non-empty class names"),
-        ("wy", "classes", ["A", "B", "C"], "two non-empty class names"),
         ("density", "policy", "foo", "policy"),
         ("density", "grid_size", 1, "grid_size"),
         ("density", "features", [], "features"),
         ("wy", "features", [], "features"),
         ("density", "features", ["a", "b", "a"], "features lists 'a' more than once"),
         ("wy", "features", ["b", "b"], "features lists 'b' more than once"),
+        ("wy", "classes", ["", "Wormhole"], "two non-empty class names"),
+        ("wy", "classes", ["A"], "two non-empty class names"),
+        ("wy", "classes", ["A", "B", "C"], "two non-empty class names"),
     ],
 )
 def test_wy_and_density_values_are_rejected_at_parse_time(section, key, bad, message):
@@ -177,10 +177,10 @@ def test_the_wy_section_is_the_test_config():
         ({"alpha": 2.0}, "alpha"),
         ({"bandwidth": "foo"}, "policy"),
         ({"classes": ("A", "A")}, "distinct"),
-        ({"classes": ("A", "")}, "non-empty"),
-        ({"classes": ("A", "B", "C")}, "two non-empty"),
         ({"seed": -1}, "seed"),
         ({"threads": 0}, "threads"),
+        ({"classes": ("A", "")}, "non-empty"),
+        ({"classes": ("A", "B", "C")}, "two non-empty"),
     ],
 )
 def test_overrides_are_checked_like_the_config(override, message):
