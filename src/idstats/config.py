@@ -5,15 +5,18 @@ values. Unknown keys anywhere in the document are rejected before any
 computation starts.
 
 Each section's dataclass is the only place its keys, defaults and scalar
-types are written. Most are below; the ``wy:`` section is `wytest.WyConfig`
-and an ``engineered`` entry is `preprocess.EngineeredFeature`, each next to
-the code that uses it. `_parse_section` takes the allowed keys and defaults
-from `dataclasses.fields` and each scalar's type from the field's annotation,
-where `X | None` means the key may be null. Only the structured keys (schema,
-engineered, models, classes, features) have parsers of their own; a field
-whose type is a dataclass is parsed as a nested section. The value checks
-live in each dataclass's `__post_init__`, so the flag overrides pass the same
-checks, and `config_echo` is `asdict` of the same objects.
+types are written. Most are below; the ``wy:`` section is `wytest.WyConfig`,
+``preprocess.rfe`` is `trees.RfeConfig` and an ``engineered`` entry is
+`preprocess.EngineeredFeature`, each next to the code that uses it. The
+``cv.models`` grids are checked by `trees.check_grid`, which holds every
+family's grid keys and value rules. `_parse_section` takes the allowed keys
+and defaults from `dataclasses.fields` and each scalar's type from the
+field's annotation, where `X | None` means the key may be null. Only the
+structured keys (schema, engineered, models, classes, features) have parsers
+of their own; a field whose type is a dataclass is parsed as a nested
+section. The value checks live in each dataclass's `__post_init__`, so the
+flag overrides pass the same checks, and `config_echo` is `asdict` of the
+same objects.
 """
 
 from __future__ import annotations
@@ -29,50 +32,8 @@ from .density import BANDWIDTH_POLICIES
 from .errors import ConfigError, DataError
 from .preprocess import EngineeredFeature
 from .tabular import ColumnSchema, check_feature_list, validate_schema
-from .trees import ModelSpec
+from .trees import RfeConfig, check_grid
 from .wytest import WyConfig
-
-_GRID_KEYS = {
-    "tree": ("max_depth", "min_leaf", "seed"),
-    "forest": ("n_trees", "max_depth", "min_leaf", "max_features", "bootstrap", "seed"),
-    "gbdt": (
-        "rounds",
-        "learning_rate",
-        "max_depth",
-        "n_bins",
-        "lambda_reg",
-        "min_child_weight",
-        "seed",
-    ),
-    "majority": ("seed",),
-}
-
-
-def _is_int(value: Any, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# Per grid key: a test every candidate value must pass, and what it asks for.
-_GRID_VALUES = {
-    "n_trees": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "rounds": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "min_leaf": (lambda v: _is_int(v, 1), "an integer >= 1"),
-    "n_bins": (lambda v: _is_int(v, 2), "an integer >= 2"),
-    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
-    "max_depth": (lambda v: v is None or _is_int(v, 0), "an integer >= 0 or null"),
-    "max_features": (
-        lambda v: v is None or v == "sqrt" or _is_int(v, 1),
-        '"sqrt", an integer >= 1 or null',
-    ),
-    "learning_rate": (_is_number, "a number"),
-    "lambda_reg": (_is_number, "a number"),
-    "min_child_weight": (_is_number, "a number"),
-    "bootstrap": (lambda v: isinstance(v, bool), "a boolean"),
-}
 
 
 def _expect_mapping(value: Any, where: str) -> dict:
@@ -105,34 +66,13 @@ def _scalar(value: Any, hint: Any, where: str):
 
 
 @dataclass(frozen=True)
-class RfeOptions:
-    """Recursive-elimination settings and the wrapped forest's shape."""
-
-    keep_threshold: float = 0.025
-    step: int = 1
-    n_trees: int = 30
-    max_depth: int | None = None
-
-    def __post_init__(self) -> None:
-        # importances sum to 1, so a threshold above 1 would select nothing
-        if not 0.0 <= self.keep_threshold <= 1.0:
-            raise ConfigError(f"keep_threshold must be in [0, 1], got {self.keep_threshold}")
-        if self.step < 1 or self.n_trees < 1:
-            raise ConfigError(
-                f"step and n_trees must be >= 1, got {self.step} and {self.n_trees}"
-            )
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ConfigError(f"max_depth must be >= 0 or null, got {self.max_depth}")
-
-
-@dataclass(frozen=True)
 class PreprocessOptions:
     test_fraction: float = 0.2
     dedup: bool = True
     scale: bool = True
     correlation_threshold: float = 0.7
     engineered: tuple[EngineeredFeature, ...] = ()
-    rfe: RfeOptions = field(default_factory=RfeOptions)
+    rfe: RfeConfig = field(default_factory=RfeConfig)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
@@ -241,29 +181,12 @@ def _parse_engineered(section: Any, where: str) -> tuple[EngineeredFeature, ...]
 
 def _parse_models(section: Any, where: str) -> dict[str, dict[str, list]]:
     section = _expect_mapping(section, where)
-    models: dict[str, dict[str, list]] = {}
     for family, grid in section.items():
-        entry = f"{where}.{family}"
-        if family not in ModelSpec.VALID_FAMILIES:
-            raise ConfigError(
-                f"{entry}: unknown model family (expected one of "
-                f"{', '.join(ModelSpec.VALID_FAMILIES)})"
-            )
-        grid = _expect_mapping(grid, entry)
-        _reject_unknown(grid, _GRID_KEYS[family], entry)
-        parsed: dict[str, list] = {}
-        for param, values in grid.items():
-            if not isinstance(values, list) or not values:
-                raise ConfigError(
-                    f"{entry}.{param} must be a non-empty list of candidate values"
-                )
-            valid, want = _GRID_VALUES[param]
-            for value in values:
-                if not valid(value):
-                    raise ConfigError(f"{entry}.{param}: {value!r} is not {want}")
-            parsed[param] = values
-        models[family] = parsed
-    return models
+        try:
+            check_grid(family, grid, f"{where}.{family}")
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+    return section
 
 
 def _parse_names(value: Any, where: str) -> tuple[str, ...]:

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DataError, DataQualityWarning, IdstatsError
 from .parallel import ordered_map
 from .tabular import ColumnTable
-from .trees import ModelSpec, derive_seed, fit_model, predict_proba
+from .trees import ModelSpec, check_grid, derive_seed, fit_model, predict_proba
 
 # A model is stable when a metric's fold range (max − min) stays within this.
 STABILITY_RANGE = 0.04
@@ -386,12 +386,8 @@ def _grid_groups(
 ) -> tuple[list[dict], list[list[int]]]:
     """The grid's cells in key order, and their indices grouped by every key
     but the family's size key."""
-    if not param_grid or any(len(v) == 0 for v in param_grid.values()):
-        raise DataError("param_grid must be non-empty with non-empty value lists")
+    check_grid(model_family, param_grid, model_family)
     size_key = _SIZE_KEY.get(model_family)
-    for n in param_grid.get(size_key, ()):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DataError(f"{size_key} values must be integers >= 1, got {n!r}")
     keys = list(param_grid)
     all_params = [
         dict(zip(keys, combo))

@@ -162,20 +162,11 @@ def run_preprocess(cfg: RunConfig) -> dict:
             scalers[name] = asdict(state)
 
     names = train.feature_names
-    rfe_spec = ModelSpec(
-        "forest",
-        {
-            "n_trees": opts.rfe.n_trees,
-            "max_depth": opts.rfe.max_depth,
-            "seed": derive_seed(cfg.seed, _RFE_TAG),
-        },
-    )
     rfe_result = rfe(
         train.matrix(),
         train.labels,
-        rfe_spec,
-        keep_threshold=opts.rfe.keep_threshold,
-        step=opts.rfe.step,
+        opts.rfe,
+        seed=derive_seed(cfg.seed, _RFE_TAG),
         feature_names=names,
         n_classes=train.vocabulary.n_classes,
         workers=cfg.threads,
@@ -326,7 +317,7 @@ def load_artifacts(out_dir: Path) -> PreprocessArtifacts:
 
 
 def _analysis_features(
-    art: PreprocessArtifacts, requested: tuple[str, ...] | None, where: str
+    art: PreprocessArtifacts, requested: tuple[str, ...] | None
 ) -> list[str]:
     """Requested features, or the selected set minus 0/1 indicator columns.
     Two features whose names squeeze to one plot-data file name are rejected."""
@@ -336,18 +327,16 @@ def _analysis_features(
         features = list(requested)
         missing = [f for f in features if f not in art.train.columns]
         if missing:
-            raise DataError(f"{where}: unknown feature(s) {', '.join(missing)}")
+            raise DataError(f"unknown feature(s) {', '.join(missing)}")
     # the config rejects an empty list, so only the selected set can be empty
     if not features:
-        raise DataError(
-            f"{where}: no continuous features survive selection; list them explicitly"
-        )
+        raise DataError("no continuous features survive selection; list them explicitly")
     by_file: dict[str, str] = {}
     for feature in features:
         first = by_file.setdefault(_safe_name(feature), feature)
         if first != feature:
             raise DataError(
-                f"{where}: features {first!r} and {feature!r} would share the "
+                f"features {first!r} and {feature!r} would share the "
                 f"plot-data file name {_safe_name(feature)!r}"
             )
     return features
@@ -467,7 +456,7 @@ def run_density(cfg: RunConfig) -> dict:
     written here, in feature order.
     """
     art = load_artifacts(cfg.output)
-    features = _analysis_features(art, cfg.density.features, "density")
+    features = _analysis_features(art, cfg.density.features)
     seed = derive_seed(cfg.seed, _DENSITY_TAG)
     plot_dir = cfg.output / "plotdata"
 
@@ -551,7 +540,7 @@ def run_wy(cfg: RunConfig) -> dict:
     class-pair matrix is built once for both.
     """
     art = load_artifacts(cfg.output)
-    features = _analysis_features(art, cfg.wy.features, "wy")
+    features = _analysis_features(art, cfg.wy.features)
     seed = derive_seed(cfg.seed, _WY_TAG)
 
     columns = class_pair_columns(art.train, features, cfg.wy)

@@ -4,14 +4,16 @@ plus impurity importances and recursive feature elimination."""
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .parallel import ordered_map
 
 MODEL_FORMAT = "idstats-model"
@@ -537,17 +539,20 @@ def fit_gbdt(
         X: n × p float matrix.
         y: integer class ids.
         rounds: boosting rounds, >= 1.
-        learning_rate: shrinkage applied to every leaf value.
+        learning_rate: shrinkage applied to every leaf value, finite and > 0.
         max_depth: per-tree depth cap (None = unbounded).
         n_bins: histogram bins per feature (quantile bins, <= 255 by default).
-        lambda_reg: L2 regularization added to hessian denominators.
-        min_child_weight: minimum child hessian sum for a valid split.
+        lambda_reg: L2 regularization added to hessian denominators, >= 0.
+        min_child_weight: minimum child hessian sum for a valid split, >= 0.
     """
     X, y, n_classes = _check_xy(X, y, n_classes)
     if rounds < 1:
         raise DataError("rounds must be >= 1")
     if n_bins < 2:
         raise DataError("n_bins must be >= 2")
+    _check_value("learning_rate", learning_rate)
+    _check_value("lambda_reg", lambda_reg)
+    _check_value("min_child_weight", min_child_weight)
     n, p = X.shape
 
     edges = [_quantile_bin_edges(X[:, f], n_bins) for f in range(p)]
@@ -661,10 +666,8 @@ class ModelSpec:
     family: str
     params: dict = field(default_factory=dict)
 
-    VALID_FAMILIES = ("tree", "forest", "gbdt", "majority")
-
     def __post_init__(self) -> None:
-        if self.family not in self.VALID_FAMILIES:
+        if self.family not in _FITTERS:
             raise DataError(f"unknown model family {self.family!r}")
 
 
@@ -674,6 +677,63 @@ _FITTERS = {
     "gbdt": fit_gbdt,
     "majority": fit_majority,
 }
+
+
+def _is_int(value: Any, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _is_finite(value: Any) -> bool:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and math.isfinite(value)
+
+
+# Per grid key: a test every candidate value must pass, and what it asks for.
+GRID_VALUES = {
+    "n_trees": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "rounds": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "min_leaf": (lambda v: _is_int(v, 1), "an integer >= 1"),
+    "n_bins": (lambda v: _is_int(v, 2), "an integer >= 2"),
+    "seed": (lambda v: _is_int(v, 0), "an integer >= 0"),
+    "max_depth": (lambda v: v is None or _is_int(v, 0), "an integer >= 0 or null"),
+    "max_features": (
+        lambda v: v is None or v == "sqrt" or _is_int(v, 1),
+        '"sqrt", an integer >= 1 or null',
+    ),
+    # XGBoost's ranges (Chen & Guestrin, KDD 2016)
+    "learning_rate": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
+    "lambda_reg": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "min_child_weight": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "bootstrap": (lambda v: isinstance(v, bool), "a boolean"),
+}
+
+
+def _check_value(param: str, value: Any, prefix: str = "") -> None:
+    valid, want = GRID_VALUES[param]
+    if not valid(value):
+        raise DataError(f"{prefix}{param}: {value!r} is not {want}")
+
+
+def check_grid(family: str, grid: Any, where: str) -> None:
+    """Check one family's grid; errors start with ``where``. Its keys are the
+    fitter's parameters that `GRID_VALUES` names, each with a list of values."""
+    if family not in _FITTERS:
+        raise DataError(
+            f"{where}: unknown model family (expected one of {', '.join(_FITTERS)})"
+        )
+    if not isinstance(grid, dict):
+        raise DataError(f"{where} must be a mapping, got {type(grid).__name__}")
+    if not grid:
+        raise DataError(f"{where} must list at least one parameter's candidate values")
+    allowed = inspect.signature(_FITTERS[family]).parameters.keys() & GRID_VALUES.keys()
+    unknown = sorted(set(grid) - allowed)
+    if unknown:
+        raise DataError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")
+    for param, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise DataError(f"{where}.{param} must be a non-empty list of candidate values")
+        for value in values:
+            _check_value(param, value, f"{where}.")
 
 
 def fit_model(
@@ -712,44 +772,59 @@ class RfeResult:
     final_importances: dict[str, float]
 
 
+@dataclass(frozen=True)
+class RfeConfig:
+    """Recursive-elimination settings and the wrapped forest's shape."""
+
+    keep_threshold: float = 0.025
+    step: int = 1
+    n_trees: int = 30
+    max_depth: int | None = None
+
+    def __post_init__(self) -> None:
+        # importances sum to 1, so a threshold above 1 would select nothing
+        if not 0.0 <= self.keep_threshold <= 1.0:
+            raise ConfigError(f"keep_threshold must be in [0, 1], got {self.keep_threshold}")
+        if self.step < 1 or self.n_trees < 1:
+            raise ConfigError(
+                f"step and n_trees must be >= 1, got {self.step} and {self.n_trees}"
+            )
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ConfigError(f"max_depth must be >= 0 or null, got {self.max_depth}")
+
+
 def rfe(
     X: np.ndarray,
     y: np.ndarray,
-    model_spec: ModelSpec | None = None,
-    keep_threshold: float = 0.025,
-    step: int = 1,
+    cfg: RfeConfig = RfeConfig(),
+    seed: int = 0,
     feature_names: list[str] | None = None,
     n_classes: int | None = None,
     workers: int = 1,
 ) -> RfeResult:
-    """Recursive feature elimination on refit impurity importances.
+    """Recursive feature elimination on a random forest's refit importances.
 
     While more than one feature remains and the minimum importance falls
-    below keep_threshold, the ``step`` lowest-importance features are dropped
-    (ties drop the earlier column first) and a trace round is recorded. The
-    selection is every surviving feature whose importance in the final fit
-    is >= keep_threshold; keep_threshold = 0 therefore selects everything
-    without dropping.
+    below ``cfg.keep_threshold``, the ``cfg.step`` lowest-importance features
+    are dropped (ties drop the earlier column first) and a trace round is
+    recorded. The selection is every surviving feature whose importance in
+    the final fit is >= keep_threshold; keep_threshold = 0 therefore selects
+    everything without dropping.
 
     Args:
         X: n × p float matrix.
         y: integer class ids.
-        model_spec: importance model; default a 30-tree random forest.
-        keep_threshold: minimum importance share to keep a feature.
-        step: features dropped per round.
+        cfg: the threshold, the step and the forest's size and depth.
+        seed: the forest's seed, the same at every refit.
         feature_names: names for the columns; default "f0".."f{p-1}".
         workers: processes per refit (a forest grows its trees in parallel).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 2:
         raise DataError("rfe needs a 2-D matrix with at least 2 features")
-    if step < 1:
-        raise DataError("step must be >= 1")
-    # importances sum to 1, so a threshold above 1 would select nothing
-    if not 0.0 <= keep_threshold <= 1.0:
-        raise DataError(f"keep_threshold must be in [0, 1], got {keep_threshold}")
-    if model_spec is None:
-        model_spec = ModelSpec("forest", {"n_trees": 30})
+    spec = ModelSpec(
+        "forest", {"n_trees": cfg.n_trees, "max_depth": cfg.max_depth, "seed": seed}
+    )
     names = (
         [f"f{j}" for j in range(X.shape[1])] if feature_names is None else list(feature_names)
     )
@@ -759,17 +834,15 @@ def rfe(
     current = list(range(X.shape[1]))
     trace: list[RfeRound] = []
     while True:
-        model = fit_model(
-            model_spec, X[:, current], y, n_classes=n_classes, workers=workers
-        )
+        model = fit_model(spec, X[:, current], y, n_classes=n_classes, workers=workers)
         imp = impurity_importance(model)
         snapshot = {names[c]: float(v) for c, v in zip(current, imp)}
-        if len(current) == 1 or float(imp.min()) >= keep_threshold:
+        if len(current) == 1 or float(imp.min()) >= cfg.keep_threshold:
             selected = [
-                names[c] for c, v in zip(current, imp) if float(v) >= keep_threshold
+                names[c] for c, v in zip(current, imp) if float(v) >= cfg.keep_threshold
             ]
             return RfeResult(selected=selected, trace=trace, final_importances=snapshot)
-        n_drop = min(step, len(current) - 1)
+        n_drop = min(cfg.step, len(current) - 1)
         drop_local = np.argsort(imp, kind="stable")[:n_drop]
         dropped = [names[current[j]] for j in sorted(drop_local)]
         trace.append(RfeRound(index=len(trace), importances=snapshot, dropped=dropped))
@@ -844,7 +917,7 @@ def model_to_dict(model) -> dict:
 
 def _model_from_fields(data: dict):
     family = data.get("family")
-    if family not in ModelSpec.VALID_FAMILIES:
+    if family not in _FITTERS:
         raise DataError(f"unknown model family {family!r}")
     p = int(data["n_features"])
     if family == "majority":

@@ -11,9 +11,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from idstats import density, evaluation, pipeline, preprocess, trees
+from idstats.trees import RfeConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 MODULES = (density, evaluation, pipeline, preprocess, trees)
@@ -66,3 +68,18 @@ def test_install_loop_timer_wraps_the_permutation_loop_only(tracing):
         tracer.undo()
     assert changed == [("idstats.pipeline", "wy_maxT")]
     assert _changed(before) == []
+
+
+def test_the_tracer_counts_the_trees_of_the_forest_rfe_builds(tracing):
+    # rfe builds the spec whose n_trees the tracer's forest counts read
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(40, 3))
+    y = np.arange(40) % 2
+    tracer = tracing.Tracer()
+    tracing.install_layers(tracer)
+    try:
+        pipeline.rfe(X, y, RfeConfig(n_trees=3, keep_threshold=0.0))
+    finally:
+        tracer.undo()
+    fits = tracer.named("trees.fit", caller="rfe")
+    assert [(s.attrs["family"], s.attrs["trees"]) for s in fits] == [("forest", 3)]

@@ -11,6 +11,7 @@ import pytest
 from idstats.config import apply_overrides, config_echo, parse_config
 from idstats.errors import ConfigError, DataQualityWarning
 from idstats.tabular import ColumnTable, LabelVocabulary
+from idstats.trees import RfeConfig
 from idstats.wytest import WyConfig, class_pair_columns
 
 
@@ -73,12 +74,27 @@ def test_cv_grids_accept_every_valid_value_kind():
         ("gbdt", "learning_rate", "0.1"),
         ("gbdt", "n_bins", 1),
         ("tree", "min_leaf", 0),
+        ("gbdt", "learning_rate", -0.5),
+        ("gbdt", "learning_rate", 0),
+        ("gbdt", "learning_rate", float("nan")),
+        ("gbdt", "learning_rate", float("inf")),
+        ("gbdt", "lambda_reg", -1),
+        ("gbdt", "lambda_reg", float("inf")),
+        ("gbdt", "min_child_weight", -1e-3),
+        ("gbdt", "min_child_weight", float("nan")),
     ],
 )
 def test_cv_grids_reject_values_of_the_wrong_kind(family, key, bad):
     models = {family: {key: [bad]}}
     with pytest.raises(ConfigError, match=f"{family}.{key}"):
         parse_config(doc(cv={"models": models}))
+
+
+@pytest.mark.parametrize("family", ["forest", "majority"])
+def test_an_empty_grid_is_a_config_error(family):
+    message = f"config.cv.models.{family} must list at least one parameter"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(doc(cv={"models": {family: {}}}))
 
 
 @pytest.mark.parametrize(
@@ -136,6 +152,13 @@ def test_preprocess_rfe_and_cv_boundary_values_are_accepted():
     assert cfg.preprocess.correlation_threshold == 1.0
     assert cfg.preprocess.rfe.keep_threshold == 0.0
     assert cfg.cv.k == 2
+
+
+def test_the_rfe_section_is_the_rfe_config():
+    assert parse_config(doc()).preprocess.rfe == RfeConfig()
+    section = {"keep_threshold": 0, "step": 2, "n_trees": 5, "max_depth": 4}
+    cfg = parse_config(doc(preprocess={"rfe": section}))
+    assert cfg.preprocess.rfe == RfeConfig(keep_threshold=0.0, step=2, n_trees=5, max_depth=4)
 
 
 def test_wy_values_need_no_class_pair_until_the_stage_runs():

@@ -7,6 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from idstats import evaluation
 from idstats.errors import DataError, DataQualityWarning
 from idstats.evaluation import (
     STABILITY_RANGE,
@@ -199,6 +200,22 @@ def test_selection_key_orders_as_documented():
     assert selection_key({"rounds": 20, "max_depth": 3}, 0.9) < selection_key(
         {"rounds": 20, "max_depth": None}, 0.9
     )
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"n_tree": [3]}, r"unknown key\(s\) in forest: 'n_tree'"),
+        ({"max_depth": ["deep"]}, r"forest\.max_depth: 'deep' is not an integer >= 0"),
+    ],
+)
+def test_grid_search_checks_every_grid_before_any_fit(monkeypatch, grid, message):
+    calls = []
+    monkeypatch.setattr(evaluation, "fit_model", lambda *args, **kwargs: calls.append(args))
+    table = blob_table(n_per=20, seed=7)
+    with pytest.raises(DataError, match=message):
+        grid_search({"tree": {"max_depth": [2]}, "forest": grid}, table, k=2, seed=0)
+    assert calls == []
 
 
 def test_grid_search_rejects_empty_grids():

@@ -8,13 +8,14 @@ import json
 import shutil
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from idstats import cli
+from idstats import cli, pipeline
 from idstats.config import parse_config
 from idstats.errors import DataError, DataQualityWarning
 from idstats.pipeline import run_stage
@@ -426,6 +427,24 @@ def test_features_sharing_a_plot_file_name_are_rejected(tmp_path, stage):
         run_stage(cfg, stage)
     assert not (cfg.output / "plotdata").exists()
     assert not (cfg.output / "fragments" / f"{stage}.json").exists()
+
+
+@pytest.mark.parametrize("stage", ["density", "wy"])
+def test_feature_errors_name_their_stage_once(tmp_path, monkeypatch, stage):
+    cfg = _colliding_names_config(tmp_path)
+    section = getattr(cfg, stage)
+    load = pipeline.load_artifacts
+    # an empty selection, for the case where no feature is listed
+    monkeypatch.setattr(pipeline, "load_artifacts", lambda out: replace(load(out), selected=[]))
+    cases = {
+        "features 'Mean Delay' and 'Mean_Delay' would share": section,
+        r"unknown feature\(s\) bogus": replace(section, features=("rate", "bogus")),
+        "no continuous features survive selection": replace(section, features=None),
+    }
+    for message, options in cases.items():
+        with pytest.raises(DataError, match=f"^{stage}: {message}") as caught:
+            run_stage(replace(cfg, **{stage: options}), stage)
+        assert str(caught.value).count(stage) == 1
 
 
 def test_stage_order_is_enforced(tmp_path, capsys):

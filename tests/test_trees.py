@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from idstats import trees
-from idstats.errors import DataError
+from idstats.errors import ConfigError, DataError
 from idstats.trees import (
     ForestModel,
     ModelSpec,
+    RfeConfig,
+    check_grid,
     derive_seed,
     fit_forest,
     fit_gbdt,
@@ -226,9 +229,17 @@ def test_importance_of_leaf_only_model_is_zero_vector():
 
 def test_rfe_keep_threshold_zero_drops_nothing():
     X, y = two_blobs(n_per=60, seed=16)
-    result = rfe(X, y, ModelSpec("forest", {"n_trees": 10, "seed": 0}), keep_threshold=0.0)
+    result = rfe(X, y, RfeConfig(keep_threshold=0.0, n_trees=10), seed=0)
     assert result.selected == ["f0", "f1", "f2"]
     assert result.trace == []  # no elimination rounds at all
+
+
+def test_rfe_by_default_ranks_on_a_30_tree_forest():
+    X, y = two_blobs(n_per=60, seed=16)
+    result = rfe(X, y)
+    assert result.trace == []
+    expected = impurity_importance(fit_forest(X, y, n_trees=30))
+    assert np.array(list(result.final_importances.values())).tobytes() == expected.tobytes()
 
 
 def test_rfe_eliminates_noise_features():
@@ -240,8 +251,7 @@ def test_rfe_eliminates_noise_features():
     y = np.repeat([0, 1], n // 2)
     names = ["strong", "weak", "noise1", "noise2"]
     result = rfe(
-        X, y, ModelSpec("forest", {"n_trees": 20, "seed": 3}),
-        keep_threshold=0.05, feature_names=names,
+        X, y, RfeConfig(keep_threshold=0.05, n_trees=20), seed=3, feature_names=names,
     )
     assert "strong" in result.selected
     assert "noise1" not in result.selected
@@ -755,5 +765,69 @@ def test_rfe_rejects_a_keep_threshold_outside_zero_one(threshold):
     # importances sum to 1, so a threshold above 1 would select nothing
     X = np.random.default_rng(0).normal(size=(40, 3))
     y = np.arange(40) % 2
-    with pytest.raises(DataError, match="keep_threshold"):
-        trees.rfe(X, y, keep_threshold=threshold)
+    with pytest.raises(ConfigError, match="keep_threshold"):
+        trees.rfe(X, y, RfeConfig(keep_threshold=threshold))
+
+
+@pytest.mark.parametrize(
+    "param, value",
+    [
+        ("learning_rate", -0.5),
+        ("learning_rate", 0.0),
+        ("learning_rate", math.inf),
+        ("lambda_reg", -1.0),
+        ("lambda_reg", math.nan),
+        ("min_child_weight", -1e-3),
+        ("min_child_weight", math.inf),
+    ],
+)
+def test_fit_gbdt_rejects_numbers_outside_their_range(param, value):
+    # a negative learning rate or lambda_reg drives the training loss up, not down
+    X, y = two_blobs(n_per=20, seed=1)
+    with pytest.raises(DataError, match=f"^{param}: .* is not a finite number"):
+        fit_gbdt(X, y, rounds=2, **{param: value})
+
+
+# The grid keys each family took when they were listed by hand; deriving them
+# from the fitters' signatures must not widen them (feature_subset, workers).
+GRID_KEYS = {
+    "tree": {"max_depth", "min_leaf", "seed"},
+    "forest": {"n_trees", "max_depth", "min_leaf", "max_features", "bootstrap", "seed"},
+    "gbdt": {
+        "rounds", "learning_rate", "max_depth", "n_bins", "lambda_reg", "min_child_weight",
+        "seed",
+    },
+    "majority": {"seed"},
+}
+ONE_VALID_VALUE = {
+    "n_trees": 1, "rounds": 1, "min_leaf": 1, "n_bins": 2, "seed": 0, "max_depth": None,
+    "max_features": "sqrt", "learning_rate": 0.1, "lambda_reg": 0, "min_child_weight": 0,
+    "bootstrap": True, "feature_subset": 1, "workers": 1, "n_classes": 2,
+}
+
+
+@pytest.mark.parametrize("family", list(GRID_KEYS))
+def test_each_family_takes_exactly_its_grid_keys(family):
+    assert set(trees.GRID_VALUES) <= set(ONE_VALID_VALUE)
+    for key, value in ONE_VALID_VALUE.items():
+        if key in GRID_KEYS[family]:
+            check_grid(family, {key: [value]}, family)
+        else:
+            with pytest.raises(DataError, match=re.escape(f"in {family}: {key!r}")):
+                check_grid(family, {key: [value]}, family)
+
+
+@pytest.mark.parametrize(
+    "family, grid, message",
+    [
+        ("forst", {"seed": [0]}, "forst: unknown model family (expected one of tree, "),
+        ("tree", [3], "tree must be a mapping, got list"),
+        ("tree", {}, "tree must list at least one parameter"),
+        ("tree", {"seed": 0}, "tree.seed must be a non-empty list of candidate values"),
+        ("tree", {"seed": []}, "tree.seed must be a non-empty list of candidate values"),
+        ("tree", {"seed": [0, -1]}, "tree.seed: -1 is not an integer >= 0"),
+    ],
+)
+def test_check_grid_names_what_is_wrong(family, grid, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        check_grid(family, grid, family)
