@@ -132,15 +132,6 @@ def test_cv_bandwidth_rejects_non_finite_candidates(bad):
             cv_bandwidth(x, candidates=np.array(cand))
 
 
-def test_fast_cv_path_matches_exact_scoring(monkeypatch):
-    x = np.random.default_rng(9).normal(0.0, 2.0, 5000)
-    cand = np.geomspace(0.1, 2.0, 8)
-    fast = cv_bandwidth(x, candidates=cand, folds=5, seed=1)
-    monkeypatch.setattr(density, "FAST_CV_THRESHOLD", 10**9)
-    exact = cv_bandwidth(x, candidates=cand, folds=5, seed=1)
-    assert fast == exact == pytest.approx(0.36106407876409946)
-
-
 def loop_cv_scores(x, fold_of, folds, cand):
     """Reference scorer: per fold and candidate, plain Gaussian sums over the
     training folds (the loop the pair scorer replaced; no kernel cut-off)."""
@@ -248,6 +239,32 @@ def assert_matches_the_per_point_scorer(x, fold_of, folds, cand):
     got = density._pair_cv_scores(x, fold_of, folds, cand)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     assert cv_pick(got) == cv_pick(want)
+
+
+def test_fast_cv_path_matches_exact_scoring():
+    # 5000 values once took a binned scorer; every size now scores exactly
+    x = np.random.default_rng(9).normal(0.0, 2.0, 5000)
+    cand = np.geomspace(0.1, 2.0, 8)
+    h = cv_bandwidth(x, candidates=cand, folds=5, seed=1)
+    want = per_point_pair_cv_scores(x, cv_folds_of(x.size, 5, 1), 5, cand)
+    assert h == 0.36106407876409946 == cand[cv_pick(want)]
+
+
+def _bounded_bimodal_beta():
+    rng = np.random.default_rng(0)
+    return np.concatenate([rng.beta(6.0, 4.0, 2400), rng.beta(1.6, 12.0, 2400)])
+
+
+@pytest.mark.parametrize("sample, pick", [
+    (_bounded_bimodal_beta(), 0.008190424070927706),
+    (np.random.default_rng(0).gamma(0.5, 2.0, 5000), 0.07115184651782623),
+], ids=["bimodal_beta_4800", "gamma_5000"])
+def test_cv_bandwidth_above_4096_values_picks_the_oracles_bandwidth(sample, pick):
+    # a binned scorer once ran from 4096 values on: it raised ValueError on
+    # the beta sample and picked 0.198 on the gamma one
+    cand = default_cv_candidates(sample, 10)
+    want = per_point_pair_cv_scores(sample, cv_folds_of(sample.size, 3, 0), 3, cand)
+    assert cv_bandwidth(sample, candidates=cand, folds=3, seed=0) == pick == cand[cv_pick(want)]
 
 
 @pytest.mark.parametrize("name", sorted(CV_FIXTURES))
@@ -603,6 +620,25 @@ def test_shape_summary_skips_empty_class_with_warning():
     with pytest.warns(DataQualityWarning, match="burst"):
         summary = shape_summary(trimmed, "speed")
     assert [c.class_name for c in summary.classes] == ["calm"]
+
+
+def test_js_distance_survives_an_underflowing_midpoint():
+    # 0.5 * (5e-324 + 0) underflows to 0; the half-KL terms never form it
+    p = np.array([1.0, 5e-324])
+    q = np.array([1.0, 0.0])
+    assert js_distance_from_masses(p, q) == 0.0
+    assert js_distance_from_masses(q, p) == 0.0
+
+
+@pytest.mark.parametrize("p, q", [
+    ([np.nan, 0.5, 0.5], [0.2, 0.4, 0.4]),
+    ([np.nan, 1.0], [0.0, 1.0]),
+    ([0.5, 0.5], [np.inf, 0.0]),
+], ids=["nan_against_mass", "nan_against_zero", "inf"])
+def test_js_distance_rejects_non_finite_masses(p, q):
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DataError, match="masses must be finite"):
+            js_distance_from_masses(np.array(p), np.array(q))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
