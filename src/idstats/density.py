@@ -476,7 +476,8 @@ def js_distance_from_masses(p: np.ndarray, q: np.ndarray) -> float:
 
     def half_kl(a: np.ndarray) -> float:
         mask = a != 0.0  # 0 * log 0 is 0; a NaN mass stays in and shows
-        return float(np.sum(a[mask] * np.log2(2.0 * a[mask] / total[mask])))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.sum(a[mask] * np.log2(2.0 * a[mask] / total[mask])))
 
     divergence = 0.5 * half_kl(p) + 0.5 * half_kl(q)
     if not math.isfinite(divergence):

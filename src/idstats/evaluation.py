@@ -340,18 +340,6 @@ def _cross_validate_groups(
     return reports
 
 
-def cross_validate(
-    model_spec: ModelSpec, table: ColumnTable, k: int = 10, seed: int = 0
-) -> CvReport:
-    """Stratified k-fold CV: fit on k−1 folds, score both sides of each fold.
-
-    The fold seed also derives a per-fold model seed unless the spec carries
-    an explicit one. Fit errors are re-raised annotated with the fold id.
-    """
-    groups = [(model_spec.family, [model_spec.params])]
-    return _cross_validate_groups(groups, table, k, seed, 1)[0][0]
-
-
 @dataclass
 class GridCell:
     params: dict

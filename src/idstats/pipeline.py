@@ -535,9 +535,9 @@ def run_wy(cfg: RunConfig) -> dict:
     """Max-T permutation test for the configured class pair, plus overlaps.
 
     ``cfg.threads`` processes compute the observed statistics, one task per
-    feature, and then the permutations; the observed ones come first because
-    frozen bandwidths (``refit_bandwidths: false``) are taken from them. The
-    class-pair matrix is built once for both.
+    feature, and then the permutations, which refit both bandwidths each
+    time. The observed details are kept for the overlaps and plot data, and
+    the class-pair matrix is built once for both passes.
     """
     art = load_artifacts(cfg.output)
     features = _analysis_features(art, cfg.wy.features)
@@ -612,7 +612,6 @@ def run_wy(cfg: RunConfig) -> dict:
         "bandwidth_policy": cfg.wy.bandwidth,
         "grid_size": cfg.wy.grid_size,
         "seed": seed,
-        "refit_bandwidths": cfg.wy.refit_bandwidths,
         "results": [
             asdict(r) | {"overlap": overlap[r.feature]} for r in report.results
         ],

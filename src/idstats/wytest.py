@@ -46,8 +46,6 @@ class WyConfig:
         cv_candidates: candidate count for the cv policy inside the test
             (a coarse grid keeps the permutation loop affordable).
         cv_folds: folds for the cv policy inside the test.
-        refit_bandwidths: refit bandwidths on every permutation (default);
-            when false, the observed bandwidths are frozen and reused.
         features: the features to test; None means the selected set.
     """
 
@@ -58,7 +56,6 @@ class WyConfig:
     grid_size: int = 512
     cv_candidates: int = 10
     cv_folds: int = 3
-    refit_bandwidths: bool = True
     features: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -112,13 +109,7 @@ def _side_bandwidth(x: np.ndarray, cfg: WyConfig, seed_path: list[int]) -> float
 
 
 def _pair_statistic(
-    xa: np.ndarray,
-    xb: np.ndarray,
-    cfg: WyConfig,
-    seed: int,
-    b: int,
-    feature_index: int,
-    frozen: tuple[float, float] | None = None,
+    xa: np.ndarray, xb: np.ndarray, cfg: WyConfig, seed: int, b: int, feature_index: int
 ) -> tuple[float, float, float, DensityPair]:
     """JS statistic between the class-conditional KDEs of one feature.
 
@@ -126,11 +117,8 @@ def _pair_statistic(
     (seed, side, permutation index, feature index) so the statistic is a
     deterministic function of the permuted data.
     """
-    if frozen is not None:
-        h_a, h_b = frozen
-    else:
-        h_a = _side_bandwidth(xa, cfg, [seed, _CV_TAG_A, b, feature_index])
-        h_b = _side_bandwidth(xb, cfg, [seed, _CV_TAG_B, b, feature_index])
+    h_a = _side_bandwidth(xa, cfg, [seed, _CV_TAG_A, b, feature_index])
+    h_b = _side_bandwidth(xb, cfg, [seed, _CV_TAG_B, b, feature_index])
     grid = make_grid([xa, xb], max(h_a, h_b), cfg.grid_size)
     pair = to_mass_pair(
         KdeModel(samples=xa, bandwidth=h_a, policy=cfg.bandwidth),
@@ -232,11 +220,10 @@ def observed_details(
 def _permutation_rows(shared: tuple, b_values: list[int]) -> np.ndarray:
     """T_{i,b} for every feature i and each b in b_values (rows are b).
 
-    ``shared`` is (pooled, n_a, cfg, seed, frozen): the pooled class-pair
-    matrix, the class-a row count, the test configuration, the master seed
-    and the frozen bandwidths (None when they are refit).
+    ``shared`` is (pooled, n_a, cfg, seed): the pooled class-pair matrix,
+    the class-a row count, the test configuration and the master seed.
     """
-    pooled, n_a, cfg, seed, frozen = shared
+    pooled, n_a, cfg, seed = shared
     n = pooled.shape[1]
     out = np.empty((len(b_values), pooled.shape[0]), dtype=np.float64)
     with warnings.catch_warnings():
@@ -246,10 +233,8 @@ def _permutation_rows(shared: tuple, b_values: list[int]) -> np.ndarray:
             # row j receives the label of source row perm[j]
             to_a = perm < n_a
             for i in range(pooled.shape[0]):
-                feature_frozen = frozen[i] if frozen is not None else None
                 stat, _, _, _ = _pair_statistic(
-                    pooled[i, to_a], pooled[i, ~to_a], cfg, seed, b=b,
-                    feature_index=i, frozen=feature_frozen,
+                    pooled[i, to_a], pooled[i, ~to_a], cfg, seed, b=b, feature_index=i
                 )
                 out[row, i] = stat
     return out
@@ -293,18 +278,13 @@ def wy_maxT(
         )
     elif [d.feature for d in observed] != list(features):
         raise DataError("observed details do not match the feature list")
-    frozen = (
-        None
-        if cfg.refit_bandwidths
-        else [(d.bandwidth_a, d.bandwidth_b) for d in observed]
-    )
 
     # workers * 4 chunks of permutations keep the pool's load balanced
     b_values = list(range(1, cfg.permutations + 1))
     chunk_size = max(1, -(-cfg.permutations // (max(workers, 1) * 4)))
     chunks = [b_values[i : i + chunk_size] for i in range(0, len(b_values), chunk_size)]
     parts = ordered_map(
-        _permutation_rows, chunks, (pooled, n_a, cfg, seed, frozen), workers=workers
+        _permutation_rows, chunks, (pooled, n_a, cfg, seed), workers=workers
     )
     stat_rows = np.vstack(parts)
 

@@ -116,6 +116,8 @@ def test_an_empty_grid_is_a_config_error(family):
         ("wy", "classes", ["", "Wormhole"], "two non-empty class names"),
         ("wy", "classes", ["A"], "two non-empty class names"),
         ("wy", "classes", ["A", "B", "C"], "two non-empty class names"),
+        # frozen bandwidths are gone: the key is unknown, not ignored
+        ("wy", "refit_bandwidths", False, "'refit_bandwidths'"),
     ],
 )
 def test_wy_and_density_values_are_rejected_at_parse_time(section, key, bad, message):
@@ -188,7 +190,6 @@ def test_the_wy_section_is_the_test_config():
         grid_size=128,
         cv_candidates=4,
         cv_folds=2,
-        refit_bandwidths=False,
         features=("rate", "proto_tcp"),
     )
 
@@ -246,7 +247,6 @@ def test_default_document_echo():
             "grid_size": 512,
             "cv_candidates": 10,
             "cv_folds": 3,
-            "refit_bandwidths": True,
             "features": None,
         },
     }
@@ -291,7 +291,6 @@ EVERY_FIELD = {
         "grid_size": 128,
         "cv_candidates": 4,
         "cv_folds": 2,
-        "refit_bandwidths": False,
         "features": ["rate", "proto_tcp"],
     },
 }
@@ -337,7 +336,6 @@ def test_every_field_document_echo():
             "grid_size": 128,
             "cv_candidates": 4,
             "cv_folds": 2,
-            "refit_bandwidths": False,
             "features": ["rate", "proto_tcp"],
         },
     }

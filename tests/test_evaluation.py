@@ -12,7 +12,6 @@ from idstats.errors import DataError, DataQualityWarning
 from idstats.evaluation import (
     STABILITY_RANGE,
     confusion_matrix,
-    cross_validate,
     grid_search,
     prf_macro,
     roc_auc_ovr_macro,
@@ -20,7 +19,6 @@ from idstats.evaluation import (
     stratified_kfold,
 )
 from idstats.tabular import ColumnTable, LabelVocabulary
-from idstats.trees import ModelSpec
 
 
 def blob_table(n_per=60, shift=3.0, seed=0, classes=("a", "b")):
@@ -142,9 +140,15 @@ def test_roc_auc_skips_absent_classes_with_warning():
     assert auc == 1.0
 
 
+def cv_one_cell(family, params, table, k, seed):
+    """The CvReport of a one-cell grid: plain k-fold CV of one setting."""
+    grid = {key: [value] for key, value in params.items()}
+    return grid_search({family: grid}, table, k=k, seed=seed)[family].cells[0].report
+
+
 def test_cross_validate_counts_folds_and_scores_well():
     table = blob_table(n_per=50, shift=4.0, seed=1)
-    report = cross_validate(ModelSpec("forest", {"n_trees": 10}), table, k=5, seed=2)
+    report = cv_one_cell("forest", {"n_trees": 10}, table, k=5, seed=2)
     assert report.k == 5
     assert len(report.train) == 5
     assert len(report.test) == 5
@@ -159,7 +163,7 @@ def test_cross_validate_counts_folds_and_scores_well():
 
 def test_cross_validate_constant_predictor_is_perfectly_stable():
     table = blob_table(n_per=40, shift=0.0, seed=3)
-    report = cross_validate(ModelSpec("majority", {}), table, k=4, seed=0)
+    report = cv_one_cell("majority", {"seed": 0}, table, k=4, seed=0)
     # identical output per fold: all ranges are exactly zero
     for metric, value in report.ranges["test"].items():
         assert value == pytest.approx(0.0, abs=1e-12)
@@ -168,15 +172,20 @@ def test_cross_validate_constant_predictor_is_perfectly_stable():
 
 def test_cross_validate_is_deterministic():
     table = blob_table(n_per=30, shift=2.0, seed=4)
-    r1 = cross_validate(ModelSpec("forest", {"n_trees": 5}), table, k=3, seed=7)
-    r2 = cross_validate(ModelSpec("forest", {"n_trees": 5}), table, k=3, seed=7)
+    r1 = cv_one_cell("forest", {"n_trees": 5}, table, k=3, seed=7)
+    r2 = cv_one_cell("forest", {"n_trees": 5}, table, k=3, seed=7)
     assert asdict(r1) == asdict(r2)
 
 
-def test_cross_validate_annotates_fold_errors():
+def test_cross_validate_annotates_fold_errors(monkeypatch):
     table = blob_table(n_per=12, shift=1.0, seed=5)
-    with pytest.raises(DataError, match="fold 0"):
-        cross_validate(ModelSpec("forest", {"n_trees": 0}), table, k=3, seed=0)
+
+    def failing_fit(spec, *args, **kwargs):
+        raise DataError("the fit failed")
+
+    monkeypatch.setattr(evaluation, "fit_model", failing_fit)
+    with pytest.raises(DataError, match="^fold 0: the fit failed$"):
+        cv_one_cell("forest", {"n_trees": 3}, table, k=3, seed=0)
 
 
 def test_grid_search_picks_highest_f1_then_smallest_model():

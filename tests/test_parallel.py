@@ -12,9 +12,9 @@ import pytest
 
 from idstats import evaluation, parallel
 from idstats.errors import DataError, DataQualityWarning
-from idstats.evaluation import cross_validate, grid_search
+from idstats.evaluation import grid_search
 from idstats.tabular import ColumnTable, LabelVocabulary
-from idstats.trees import ModelSpec, fit_forest, model_to_dict
+from idstats.trees import fit_forest, model_to_dict
 
 
 def three_blobs(n_per=40, shift=1.5, seed=0):
@@ -133,8 +133,9 @@ def test_grid_cells_equal_cross_validating_each_cell_alone(family, grid):
     table = three_blobs(seed=2)
     result = grid_search({family: grid}, table, k=3, seed=5)[family]
     for cell in result.cells:
-        alone = cross_validate(ModelSpec(family, cell.params), table, k=3, seed=5)
-        assert cell.report == alone
+        one_cell = {key: [value] for key, value in cell.params.items()}
+        alone = grid_search({family: one_cell}, table, k=3, seed=5)[family]
+        assert cell.report == alone.cells[0].report
     pooled = grid_search({family: grid}, table, k=3, seed=5, workers=2)[family]
     assert pooled.cells == result.cells
     assert pooled.best_index == result.best_index

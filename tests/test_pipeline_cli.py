@@ -221,8 +221,8 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path):
     variants = {
         # observed statistics and bandwidth CV on the pool, two CV families
         "cv": two_families.replace("bandwidth: scott", "bandwidth: cv"),
-        # observed statistics first, their bandwidths frozen for the pool
-        "frozen": CONFIG_YAML + "  refit_bandwidths: false\n",
+        # scott bandwidths refit on every permutation, one CV family
+        "scott": CONFIG_YAML,
     }
     for name, config in variants.items():
         stages = ("preprocess", "cv", "density", "wy")
@@ -236,8 +236,6 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path):
         for path in serial:
             assert pooled[path] == serial[path], (name, path)
         assert "fragments/wy.json" in serial and "tables/cv_metrics.csv" in serial
-    report = json.loads(serial["report.json"])
-    assert report["config"]["wy"]["refit_bandwidths"] is False
 
 
 def test_worker_warnings_reach_the_caller_in_order(tmp_path):
@@ -365,7 +363,6 @@ def test_report_echoes_the_wy_defaults(run_dir, tmp_path):
         "grid_size": 512,
         "cv_candidates": 10,
         "cv_folds": 3,
-        "refit_bandwidths": True,
         "features": None,
     }
 
@@ -379,7 +376,6 @@ def test_report_echoes_every_wy_key(run_dir, tmp_path):
         "grid_size": 33,
         "cv_candidates": 4,
         "cv_folds": 2,
-        "refit_bandwidths": False,
         "features": ["delay", "rate"],
     }
     assert _report_config_wy(run_dir, tmp_path, section) == {
@@ -390,7 +386,6 @@ def test_report_echoes_every_wy_key(run_dir, tmp_path):
         "grid_size": 33,
         "cv_candidates": 4,
         "cv_folds": 2,
-        "refit_bandwidths": False,
         "features": ["delay", "rate"],
     }
 

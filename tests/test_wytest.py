@@ -155,23 +155,6 @@ def test_worker_count_does_not_change_results():
         assert rs == rp
 
 
-def test_frozen_bandwidths_are_reused_from_the_observed_fit():
-    table = two_class_table(shift=1.0, seed=7)
-    frozen_cfg = scott_config(permutations=15, refit_bandwidths=False)
-    observed = observed_details(table, ["sig", "noise"], frozen_cfg, seed=SEED)
-    report = wy_maxT(table, ["sig", "noise"], frozen_cfg, observed=observed, seed=SEED)
-    for r, d in zip(report.results, observed):
-        assert r.bandwidth_a == d.bandwidth_a
-        assert r.bandwidth_b == d.bandwidth_b
-    # refitting per permutation changes the null statistics
-    refit = wy_maxT(table, ["sig", "noise"], scott_config(permutations=15), seed=7)
-    frozen7 = wy_maxT(
-        table, ["sig", "noise"],
-        scott_config(permutations=15, refit_bandwidths=False), seed=7,
-    )
-    assert not np.array_equal(refit.max_trace, frozen7.max_trace)
-
-
 def test_precomputed_observed_must_match_the_feature_list():
     table = two_class_table(seed=8)
     cfg = scott_config(permutations=5)
