@@ -271,7 +271,9 @@ def _prefix(model, size_key: str, n: int):
     """The model a fit with ``size_key = n`` returns, cut from a larger fit."""
     if size_key == "n_trees":
         return replace(model, trees=model.trees[:n])
-    return replace(model, trees=model.trees[:n], train_loss=model.train_loss[: n + 1])
+    return replace(
+        model, trees=model.trees[: n * model.n_classes], train_loss=model.train_loss[: n + 1]
+    )
 
 
 def _fold_scores(shared: tuple, task: tuple) -> list[_FoldScores]:

@@ -89,14 +89,22 @@ class EngineeredFeature:
 def engineer_features(
     t: ColumnTable, spec: list[EngineeredFeature]
 ) -> ColumnTable:
-    """Append derived columns: power(p) = sign(x)·|x|^p, reciprocal = 1/(x+ε)."""
+    """Append derived columns: power(p) = sign(x)·|x|^p, reciprocal = 1/(x+ε);
+    a non-finite derived value (0^p for p < 0, 1/0) is a DataError."""
     out = t
     for item in spec:
         x = t.column(item.source).astype(np.float64, copy=False)
-        if item.transform == "power":
-            values = np.sign(x) * np.abs(x) ** item.exponent
-        else:
-            values = 1.0 / (x + RECIPROCAL_EPS)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if item.transform == "power":
+                values = np.sign(x) * np.abs(x) ** item.exponent
+            else:
+                values = 1.0 / (x + RECIPROCAL_EPS)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DataError(
+                f"engineered column {item.output_name!r} has {bad.size} non-finite "
+                f"value(s), the first at {item.source} = {x[bad[0]]!r}"
+            )
         out = out.with_column(item.output_name, values)
     return out
 

@@ -1,6 +1,7 @@
 """Native tree family: CART decision tree on Gini gain, bootstrap random
-forest, and histogram-based gradient-boosted trees with a softmax objective,
-plus impurity importances and recursive feature elimination."""
+forest, histogram-based gradient-boosted trees with a softmax objective and a
+class-prior baseline, each fit to one `Model` of flat node-array `Tree`s; plus
+impurity importances and recursive feature elimination."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from .errors import ConfigError, DataError
 from .parallel import ordered_map
 
 MODEL_FORMAT = "idstats-model"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 # Gains this small are floating-point noise, not structure.
 _GAIN_EPS = 1e-12
@@ -76,7 +77,6 @@ class Tree:
     n_samples: np.ndarray
     value: np.ndarray
     gain: np.ndarray
-    n_features: int
 
 
 # The node arrays of a Tree and their dtypes, in the order of a node's fields.
@@ -105,13 +105,29 @@ class _Nodes(list):
         self[i][:4] = feature, threshold, left, right
         self[i][6] = gain
 
-    def tree(self, n_features: int) -> Tree:
+    def tree(self) -> Tree:
         arrays = {
             name: np.array(column, dtype=dtype)
             for (name, dtype), column in zip(_NODE_ARRAYS.items(), zip(*self))
         }
         arrays["value"] = arrays["value"].reshape(len(self), -1)
-        return Tree(**arrays, n_features=n_features)
+        return Tree(**arrays)
+
+
+@dataclass
+class Model:
+    """A fitted model of any family. ``tree`` holds one tree, ``forest`` its
+    bagged trees and ``majority`` one leaf with the class priors. ``gbdt``
+    holds its trees round-major, tree i for class i % n_classes, and alone
+    sets ``init_scores`` and ``train_loss`` (before any tree, then per round).
+    """
+
+    family: str
+    trees: list[Tree]
+    n_classes: int
+    n_features: int
+    init_scores: np.ndarray | None = None
+    train_loss: list[float] | None = None
 
 
 # Split-search temporaries hold at most this many class × row cells.
@@ -194,7 +210,7 @@ def fit_tree(
     feature_subset: int | None = None,
     seed: int = 0,
     n_classes: int | None = None,
-) -> Tree:
+) -> Model:
     """Greedy CART classifier on Gini gain with midpoint split candidates.
 
     A node becomes a leaf when it is pure, too small, at max depth, or has no
@@ -215,14 +231,15 @@ def fit_tree(
         n_classes: class count; default max(y) + 1.
 
     Returns:
-        The Tree; ``value`` holds each node's class distribution.
+        A one-tree Model; ``value`` holds each node's class distribution.
     """
     X, y, n_classes = _check_xy(X, y, n_classes)
     rng = np.random.default_rng(seed)
-    return _grow_tree(
+    tree = _grow_tree(
         X, y, np.ones(X.shape[0]), _sorted_rows(X), n_classes, max_depth, min_leaf,
         feature_subset, rng,
     )
+    return Model("tree", [tree], n_classes, X.shape[1])
 
 
 def _grow_tree(
@@ -292,7 +309,7 @@ def _grow_tree(
         nodes.split(i, f, threshold, left[0], right[0], decrease)
         stack.append((*right, depth + 1))
         stack.append((*left, depth + 1))
-    return nodes.tree(p)
+    return nodes.tree()
 
 
 def _leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -307,18 +324,6 @@ def _leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
         node[active] = at
         active = active[tree.feature[at] >= 0]
     return node
-
-
-@dataclass
-class ForestModel:
-    """Bagged CART ensemble; predictions average the trees' leaf distributions."""
-
-    trees: list[Tree]
-    n_classes: int
-    n_features: int
-    max_features: int
-    bootstrap: bool
-    seed: int
 
 
 def _forest_tree(shared: tuple, i: int) -> Tree:
@@ -345,7 +350,7 @@ def fit_forest(
     seed: int = 0,
     n_classes: int | None = None,
     workers: int = 1,
-) -> ForestModel:
+) -> Model:
     """Random forest: per tree, a bootstrap resample and ⌈√p⌉ features per split.
 
     Tree i draws from an RNG seeded by (seed, i), so results do not depend on
@@ -367,44 +372,17 @@ def fit_forest(
 
     shared = (X, y, _sorted_rows(X), n_classes, max_depth, min_leaf, m, bootstrap, seed)
     trees = ordered_map(_forest_tree, range(n_trees), shared, workers=workers)
-    return ForestModel(
-        trees=trees,
-        n_classes=n_classes,
-        n_features=p,
-        max_features=m,
-        bootstrap=bootstrap,
-        seed=seed,
-    )
-
-
-@dataclass
-class MajorityModel:
-    """Constant predictor emitting the training class priors for every row."""
-
-    distribution: np.ndarray
-    n_features: int
+    return Model("forest", trees, n_classes, p)
 
 
 def fit_majority(
     X: np.ndarray, y: np.ndarray, n_classes: int | None = None, seed: int = 0
-) -> MajorityModel:
+) -> Model:
+    """Constant predictor: one leaf whose distribution is the class priors."""
     X, y, n_classes = _check_xy(X, y, n_classes)
-    counts = np.bincount(y, minlength=n_classes).astype(np.float64)
-    return MajorityModel(distribution=counts / counts.sum(), n_features=X.shape[1])
-
-
-@dataclass
-class GbdtModel:
-    """Gradient-boosted trees: rounds × classes regression trees on histograms."""
-
-    trees: list[list[Tree]]
-    init_scores: np.ndarray
-    learning_rate: float
-    bin_edges: list[np.ndarray]
-    n_classes: int
-    n_features: int
-    train_loss: list[float]
-    seed: int
+    nodes = _Nodes()
+    nodes.add(y.size, np.bincount(y, minlength=n_classes) / y.size)
+    return Model("majority", [nodes.tree()], n_classes, X.shape[1])
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -509,7 +487,7 @@ def _fit_hist_tree(
         nodes.split(i, f, float(edges[f][j]), left[0], right[0], best_gain)
         stack.append((*right, depth + 1))
         stack.append((*left, depth + 1))
-    return nodes.tree(p), values
+    return nodes.tree(), values
 
 
 def fit_gbdt(
@@ -523,7 +501,7 @@ def fit_gbdt(
     min_child_weight: float = 1e-3,
     seed: int = 0,
     n_classes: int | None = None,
-) -> GbdtModel:
+) -> Model:
     """Multiclass softmax GBDT over quantile-binned features.
 
     Per round, one regression tree per class fits the Newton statistics
@@ -563,89 +541,62 @@ def fit_gbdt(
     onehot = np.zeros((n, n_classes), dtype=np.float64)
     onehot[np.arange(n), y] = 1.0
 
-    trees: list[list[Tree]] = []
+    trees: list[Tree] = []
     losses: list[float] = []
     for _ in range(rounds):
         proba = _softmax(scores)
         losses.append(_log_loss(proba, y))
         grad = proba - onehot
         hess = proba * (1.0 - proba)
-        round_trees: list[Tree] = []
         for k in range(n_classes):
             tree, leaf_values = _fit_hist_tree(
                 codes, edges, grad[:, k], hess[:, k],
                 learning_rate, max_depth, lambda_reg, min_child_weight,
             )
             scores[:, k] += leaf_values
-            round_trees.append(tree)
-        trees.append(round_trees)
+            trees.append(tree)
     losses.append(_log_loss(_softmax(scores), y))
-    return GbdtModel(
-        trees=trees,
-        init_scores=init_scores,
-        learning_rate=learning_rate,
-        bin_edges=edges,
-        n_classes=n_classes,
-        n_features=p,
-        train_loss=losses,
-        seed=seed,
-    )
+    return Model("gbdt", trees, n_classes, p, init_scores, losses)
 
 
-def predict_proba(model, X: np.ndarray) -> np.ndarray:
+def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
     """Class-probability matrix (rows sum to 1) for any fitted family.
 
     Every tree routes the rows to their leaves with one descent (``_leaves``);
-    a CART or forest averages the leaves' class distributions, a GBDT adds
-    the leaves' steps to the init scores and takes the softmax.
+    a GBDT adds the leaves' steps to the init scores and takes the softmax,
+    every other family averages the leaves' class distributions.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DataError("X must be a 2-D matrix")
-    expected = getattr(model, "n_features", -1)
-    if expected >= 0 and X.shape[1] != expected:
+    if X.shape[1] != model.n_features:
         raise DataError(
-            f"feature count mismatch: model expects {expected}, got {X.shape[1]}"
+            f"feature count mismatch: model expects {model.n_features}, got {X.shape[1]}"
         )
-    if isinstance(model, Tree):
-        return model.value[_leaves(model, X)]
-    if isinstance(model, ForestModel):
-        acc = np.zeros((X.shape[0], model.n_classes), dtype=np.float64)
-        for tree in model.trees:
-            acc += tree.value[_leaves(tree, X)]
-        return acc / len(model.trees)
-    if isinstance(model, GbdtModel):
+    if model.family == "gbdt":
         scores = np.tile(model.init_scores, (X.shape[0], 1))
-        for round_trees in model.trees:
-            for k, tree in enumerate(round_trees):
-                scores[:, k] += tree.value[_leaves(tree, X), 0]
+        for i, tree in enumerate(model.trees):
+            scores[:, i % model.n_classes] += tree.value[_leaves(tree, X), 0]
         return _softmax(scores)
-    if isinstance(model, MajorityModel):
-        return np.tile(model.distribution, (X.shape[0], 1))
-    raise DataError(f"unknown model type {type(model).__name__}")
+    acc = np.zeros((X.shape[0], model.n_classes), dtype=np.float64)
+    for tree in model.trees:
+        acc += tree.value[_leaves(tree, X)]
+    return acc / len(model.trees)
 
 
-def predict_labels(model, X: np.ndarray) -> np.ndarray:
+def predict_labels(model: Model, X: np.ndarray) -> np.ndarray:
     return np.argmax(predict_proba(model, X), axis=1)
 
 
-def impurity_importance(model) -> np.ndarray:
-    """Per-feature impurity (trees/forest) or split-gain (GBDT) reduction,
+def impurity_importance(model: Model) -> np.ndarray:
+    """Per-feature impurity (tree/forest) or split-gain (GBDT) reduction,
     normalized to sum 1; all-zero when the model contains no split.
 
     Each tree's split gains are added in pre-order, right subtree first, and
     the trees in model order, so the sums are reproducible to the last bit.
     """
-    if isinstance(model, Tree):
-        grown = [model]
-    elif isinstance(model, ForestModel):
-        grown = model.trees
-    elif isinstance(model, GbdtModel):
-        grown = [tree for round_trees in model.trees for tree in round_trees]
-    else:
-        raise DataError(f"unknown model type {type(model).__name__}")
     out = np.zeros(model.n_features, dtype=np.float64)
-    for tree in grown:
+    for tree in model.trees:
         feature, left, right, gain = (
             a.tolist() for a in (tree.feature, tree.left, tree.right, tree.gain)
         )
@@ -871,96 +822,47 @@ def _tree_from_dict(data: dict, n_features: int, width: int) -> Tree:
     for child in (left[inner], right[inner]):
         if np.any((child <= inner) | (child >= n)):
             raise DataError("tree children must have larger ids than their parent")
-    return Tree(**arrays, n_features=n_features)
+    return Tree(**arrays)
 
 
-def model_to_dict(model) -> dict:
+def model_to_dict(model: Model) -> dict:
     """Self-describing JSON form with a format/version tag."""
-    head = {"format": MODEL_FORMAT, "version": MODEL_VERSION}
-    if isinstance(model, Tree):
-        return head | {
-            "family": "tree",
-            "n_classes": model.value.shape[1],
-            "n_features": model.n_features,
-            "tree": _tree_to_dict(model),
-        }
-    if isinstance(model, ForestModel):
-        return head | {
-            "family": "forest",
-            "n_classes": model.n_classes,
-            "n_features": model.n_features,
-            "max_features": model.max_features,
-            "bootstrap": model.bootstrap,
-            "seed": model.seed,
-            "trees": [_tree_to_dict(t) for t in model.trees],
-        }
-    if isinstance(model, GbdtModel):
-        return head | {
-            "family": "gbdt",
-            "n_classes": model.n_classes,
-            "n_features": model.n_features,
-            "learning_rate": model.learning_rate,
-            "init_scores": model.init_scores.tolist(),
-            "bin_edges": [e.tolist() for e in model.bin_edges],
-            "train_loss": model.train_loss,
-            "seed": model.seed,
-            "trees": [[_tree_to_dict(t) for t in row] for row in model.trees],
-        }
-    if isinstance(model, MajorityModel):
-        return head | {
-            "family": "majority",
-            "n_features": model.n_features,
-            "distribution": model.distribution.tolist(),
-        }
-    raise DataError(f"unknown model type {type(model).__name__}")
+    doc = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "family": model.family,
+        "n_classes": model.n_classes,
+        "n_features": model.n_features,
+        "trees": [_tree_to_dict(t) for t in model.trees],
+    }
+    if model.family == "gbdt":
+        doc |= {"init_scores": model.init_scores.tolist(), "train_loss": model.train_loss}
+    return doc
 
 
-def _model_from_fields(data: dict):
+def _model_from_fields(data: dict) -> Model:
     family = data.get("family")
     if family not in _FITTERS:
         raise DataError(f"unknown model family {family!r}")
-    p = int(data["n_features"])
-    if family == "majority":
-        distribution = np.asarray(data["distribution"], dtype=np.float64)
-        if distribution.ndim != 1 or distribution.size == 0:
-            raise DataError("a majority distribution needs at least one class")
-        return MajorityModel(distribution=distribution, n_features=p)
-    n_classes = int(data["n_classes"])
-    if family == "tree":
-        return _tree_from_dict(data["tree"], p, n_classes)
-    if family == "forest":
-        if not data["trees"]:
-            raise DataError("a forest document needs at least one tree")
-        return ForestModel(
-            trees=[_tree_from_dict(t, p, n_classes) for t in data["trees"]],
-            n_classes=n_classes,
-            n_features=p,
-            max_features=int(data["max_features"]),
-            bootstrap=bool(data["bootstrap"]),
-            seed=int(data["seed"]),
-        )
-    trees = [[_tree_from_dict(t, p, 1) for t in row] for row in data["trees"]]
+    n_classes, p = int(data["n_classes"]), int(data["n_features"])
+    if n_classes < 1:
+        raise DataError("a model needs at least one class")
+    gbdt = family == "gbdt"
+    trees = [_tree_from_dict(t, p, 1 if gbdt else n_classes) for t in data["trees"]]
+    if not trees:
+        raise DataError(f"a {family} document needs at least one tree")
+    if not gbdt:
+        return Model(family, trees, n_classes, p)
+    if len(trees) % n_classes:
+        raise DataError(f"gbdt trees must come in rounds of {n_classes}, one per class")
     init_scores = np.asarray(data["init_scores"], dtype=np.float64)
-    bin_edges = [np.asarray(e, dtype=np.float64) for e in data["bin_edges"]]
-    if any(len(row) != n_classes for row in trees):
-        raise DataError(f"every gbdt round must hold {n_classes} trees")
     if init_scores.shape != (n_classes,):
         raise DataError(f"gbdt init_scores must have {n_classes} entries")
-    if len(bin_edges) != p:
-        raise DataError(f"gbdt bin_edges must have {p} entries")
-    return GbdtModel(
-        trees=trees,
-        init_scores=init_scores,
-        learning_rate=float(data["learning_rate"]),
-        bin_edges=bin_edges,
-        n_classes=n_classes,
-        n_features=p,
-        train_loss=[float(v) for v in data["train_loss"]],
-        seed=int(data["seed"]),
-    )
+    train_loss = [float(v) for v in data["train_loss"]]
+    return Model(family, trees, n_classes, p, init_scores, train_loss)
 
 
-def model_from_dict(data: dict):
+def model_from_dict(data: dict) -> Model:
     """Model from its document; a field missing or out of shape is a DataError."""
     if data.get("format") != MODEL_FORMAT:
         raise DataError("not a recognized model document")
@@ -977,11 +879,11 @@ def model_from_dict(data: dict):
         raise DataError(f"malformed model document: {exc}") from None
 
 
-def save_model(model, path: str) -> None:
+def save_model(model: Model, path: str) -> None:
     with atomic_open(path, encoding="utf-8") as handle:
         json.dump(model_to_dict(model), handle)
 
 
-def load_model(path: str):
+def load_model(path: str) -> Model:
     with open(path, encoding="utf-8") as handle:
         return model_from_dict(json.load(handle))

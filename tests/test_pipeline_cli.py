@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 import yaml
 
-from idstats import cli, pipeline
+from idstats import cli, pipeline, trees
 from idstats.config import parse_config
 from idstats.errors import DataError, DataQualityWarning
+from idstats.evaluation import confusion_matrix
 from idstats.pipeline import run_stage
 
 CONFIG_YAML = """\
@@ -137,7 +138,15 @@ def test_cv_stage_reports_best_model(run_dir):
     assert fragment["k"] == 4
     assert fragment["best"]["family"] == "forest"
     assert fragment["best"]["params"]["n_trees"] in (8, 16)
-    assert (run_dir / "out" / "artifacts" / "best_model.json").exists()
+    # the saved model reproduces the refit's test confusion matrix
+    model = trees.load_model(str(run_dir / "out" / "artifacts" / "best_model.json"))
+    with np.load(run_dir / "out" / "artifacts" / "preprocessed.npz") as data:
+        names = data["feature_names"].tolist()
+        X_test = data["X_test"][:, [names.index(s) for s in data["selected"].tolist()]]
+        y_test = data["y_test"]
+    predicted = trees.predict_labels(model, X_test)
+    cm = confusion_matrix(y_test, predicted, len(fragment["confusion"]["classes"]))
+    assert cm.tolist() == fragment["confusion"]["test"]
     with open(run_dir / "out" / "tables" / "cv_metrics.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0].keys() == {

@@ -169,6 +169,22 @@ def test_engineer_features_power_and_reciprocal():
     assert out.column("v").tolist() == [-8.0, -1.0, 0.0, 1.0, 8.0]
 
 
+@pytest.mark.parametrize(
+    "item, value, column",
+    [
+        # sign(0)·0^-0.5 = 0·inf is NaN
+        (EngineeredFeature("v", "power", -0.5), 0.0, "v_pow-0.5"),
+        # 1 / (x + ε) at x = −ε is 1 / 0
+        (EngineeredFeature("v", "reciprocal"), -1e-9, "v_recip"),
+    ],
+    ids=["power_of_zero", "reciprocal_of_zero"],
+)
+def test_engineer_features_rejects_non_finite_values(item, value, column):
+    t = table_from(v=[1.0, value, 4.0, 9.0])
+    with pytest.raises(DataError, match=f"engineered column '{column}' has 1 non-finite"):
+        engineer_features(t, [item])
+
+
 def test_engineered_feature_validation():
     with pytest.raises(DataError):
         EngineeredFeature("v", "log")

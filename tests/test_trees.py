@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from idstats import trees
 from idstats.errors import ConfigError, DataError
 from idstats.trees import (
-    ForestModel,
+    Model,
     ModelSpec,
     RfeConfig,
     check_grid,
@@ -56,7 +57,7 @@ def test_gini_known_values():
 def test_pure_input_yields_single_leaf():
     X = np.arange(12.0).reshape(6, 2)
     y = np.ones(6, dtype=np.int64)
-    tree = fit_tree(X, y, n_classes=2)
+    tree = fit_tree(X, y, n_classes=2).trees[0]
     assert tree.feature.tolist() == [-1]
     assert tree.value.tolist() == [[0.0, 1.0]]
 
@@ -75,7 +76,7 @@ def test_split_threshold_is_midpoint_and_right_edge_goes_left():
     X = np.array([[0.0], [1.0]])
     y = np.array([0, 1])
     tree = fit_tree(X, y)
-    assert tree.threshold[0] == pytest.approx(0.5)
+    assert tree.trees[0].threshold[0] == pytest.approx(0.5)
     # x <= threshold routes left
     proba = predict_proba(tree, np.array([[0.5], [0.500001]]))
     assert proba[0].tolist() == [1.0, 0.0]
@@ -93,8 +94,8 @@ def test_max_depth_and_min_leaf_are_respected():
     def min_leaf_size(tree):
         return int(tree.n_samples[tree.feature < 0].min())
 
-    assert depth_of(fit_tree(X, y, max_depth=3)) <= 3
-    assert min_leaf_size(fit_tree(X, y, min_leaf=20)) >= 20
+    assert depth_of(fit_tree(X, y, max_depth=3).trees[0]) <= 3
+    assert min_leaf_size(fit_tree(X, y, min_leaf=20).trees[0]) >= 20
 
 
 def test_tree_separates_shifted_gaussians():
@@ -223,8 +224,8 @@ def test_impurity_importance_ranks_signal_over_noise():
 def test_importance_of_leaf_only_model_is_zero_vector():
     X = np.zeros((8, 3))
     y = np.ones(8, dtype=np.int64)
-    imp = impurity_importance(fit_tree(X, y, n_classes=2))
-    assert imp.tolist() == [0.0, 0.0, 0.0]
+    for model in (fit_tree(X, y, n_classes=2), fit_majority(X, np.arange(8) % 2)):
+        assert impurity_importance(model).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_rfe_keep_threshold_zero_drops_nothing():
@@ -290,7 +291,7 @@ def test_serialization_round_trip_preserves_predictions(tmp_path):
     for model in models:
         doc = model_to_dict(model)
         assert doc["format"] == "idstats-model"
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         expected = predict_proba(model, Xq).tobytes()
         assert predict_proba(model_from_dict(doc), Xq).tobytes() == expected
         path = tmp_path / f"{doc['family']}.json"
@@ -306,13 +307,15 @@ def test_deserialization_rejects_foreign_documents():
         model_from_dict({"format": "idstats-model", "version": 99, "family": "tree"})
 
 
-def test_deserialization_rejects_a_version_1_document():
-    # version 1 stored each tree as nested node objects
+@pytest.mark.parametrize("version", [1, 2])
+def test_deserialization_rejects_versions_before_3(version):
+    # version 1 stored each tree as nested node objects, version 2 one
+    # container per family
     doc = {
-        "format": "idstats-model", "version": 1, "family": "tree", "n_features": 1,
+        "format": "idstats-model", "version": version, "family": "tree", "n_features": 1,
         "root": {"n": 2, "impurity": 0.0, "dist": [1.0, 0.0]},
     }
-    with pytest.raises(DataError, match="version 1"):
+    with pytest.raises(DataError, match=f"version {version}.*rerun cv"):
         model_from_dict(doc)
 
 
@@ -329,8 +332,7 @@ def _fitted_doc(family):
 def _corrupt(family, edit):
     """A fitted model's document with ``edit`` applied to its first tree."""
     doc = _fitted_doc(family)
-    first = doc["tree"] if family == "tree" else doc["trees"][0]
-    first = first[0] if family == "gbdt" else first
+    first = doc["trees"][0]
     assert first["feature"][0] >= 0  # the root splits
     edit(first)
     return doc
@@ -379,27 +381,23 @@ def test_deserialization_rejects_trees_a_descent_could_not_finish(family, edit):
 
 
 def _wide_round(doc):
-    doc["trees"][1].append(doc["trees"][1][0])
+    doc["trees"].append(doc["trees"][0])
 
 
 def _long_init_scores(doc):
     doc["init_scores"].append(0.0)
 
 
-def _short_bin_edges(doc):
-    doc["bin_edges"].pop()
-
-
 def _no_trees(doc):
     doc["trees"] = []
 
 
-def _empty_distribution(doc):
-    doc["distribution"] = []
-
-
 def _unparsable_count(doc):
     doc["n_features"] = "three"
+
+
+def _no_classes(doc):
+    doc["n_classes"] = 0
 
 
 @pytest.mark.parametrize(
@@ -407,10 +405,12 @@ def _unparsable_count(doc):
     [
         ("gbdt", _wide_round, "round"),
         ("gbdt", _long_init_scores, "init_scores"),
-        ("gbdt", _short_bin_edges, "bin_edges"),
         ("forest", _no_trees, "at least one tree"),
-        ("majority", _empty_distribution, "distribution"),
         ("forest", _unparsable_count, "malformed"),
+        ("tree", _no_trees, "at least one tree"),
+        ("gbdt", _no_trees, "at least one tree"),
+        ("majority", _no_trees, "at least one tree"),
+        ("gbdt", _no_classes, "at least one class"),
     ],
 )
 def test_deserialization_rejects_model_fields_out_of_shape(family, edit, message):
@@ -445,7 +445,7 @@ def test_derive_seed_is_deterministic_and_path_sensitive():
 # trees.
 
 
-def _reference_tree(nodes, n_features):
+def _reference_tree(nodes):
     """trees.Tree from the reference's node dicts, in id order."""
 
     def column(key, dtype):
@@ -459,7 +459,6 @@ def _reference_tree(nodes, n_features):
         n_samples=column("n", np.int64),
         value=column("value", np.float64).reshape(len(nodes), -1),
         gain=column("gain", np.float64),
-        n_features=n_features,
     )
 
 
@@ -535,7 +534,7 @@ def _reference_grow_tree(X, y, n_classes, max_depth, min_leaf, feature_subset, r
         ) / n
         stack.append((right, idx[~mask], depth + 1))
         stack.append((left, idx[mask], depth + 1))
-    return _reference_tree(nodes, p)
+    return _reference_tree(nodes)
 
 
 def _reference_fit_hist_tree(
@@ -596,7 +595,7 @@ def _reference_fit_hist_tree(
         left, right = node_for(idx[mask]), node_for(idx[~mask])
         stack.append((right, idx[~mask], depth + 1))
         stack.append((left, idx[mask], depth + 1))
-    return _reference_tree(nodes, p), values
+    return _reference_tree(nodes), values
 
 
 def _reference_forest(X, y, n_trees, max_depth, min_leaf, max_features, bootstrap, seed):
@@ -611,7 +610,7 @@ def _reference_forest(X, y, n_trees, max_depth, min_leaf, max_features, bootstra
             X[sample], y[sample], n_classes, max_depth, min_leaf,
             m if m < p else None, rng,
         ))
-    return ForestModel(grown, n_classes, p, m, bootstrap, seed)
+    return Model("forest", grown, n_classes, p)
 
 
 def _reference_gbdt(monkeypatch, X, y, **params):
@@ -698,7 +697,7 @@ def test_fit_tree_equals_the_reference(feature_subset, max_depth):
     reference = _reference_grow_tree(
         X, y, 3, max_depth, 1, feature_subset, np.random.default_rng(3)
     )
-    _assert_same_model(tree, reference, X)
+    _assert_same_model(tree, Model("tree", [reference], 3, X.shape[1]), X)
 
 
 @pytest.mark.parametrize(
@@ -752,9 +751,9 @@ def test_importances_add_the_gains_in_a_fixed_order():
     forest = fit_forest(X, y, n_trees=6, max_depth=None, seed=3)
     gbdt = fit_gbdt(X, y, rounds=5, max_depth=6)
     for model, grown in (
-        (forest.trees[0], forest.trees[:1]),
+        (replace(forest, trees=forest.trees[:1]), forest.trees[:1]),
         (forest, forest.trees),
-        (gbdt, [tree for round_trees in gbdt.trees for tree in round_trees]),
+        (gbdt, gbdt.trees),
     ):
         expected = _reference_importance(grown, X.shape[1])
         assert impurity_importance(model).tobytes() == expected.tobytes()
