@@ -6,17 +6,17 @@ computation starts.
 
 Each section's dataclass is the only place its keys, defaults and scalar
 types are written. Most are below; the ``wy:`` section is `wytest.WyConfig`,
-``preprocess.rfe`` is `trees.RfeConfig` and an ``engineered`` entry is
-`preprocess.EngineeredFeature`, each next to the code that uses it. The
-``cv.models`` grids are checked by `trees.check_grid`, which holds every
-family's grid keys and value rules. `_parse_section` takes the allowed keys
-and defaults from `dataclasses.fields` and each scalar's type from the
-field's annotation, where `X | None` means the key may be null. Only the
-structured keys (schema, engineered, models, classes, features) have parsers
-of their own; a field whose type is a dataclass is parsed as a nested
-section. The value checks live in each dataclass's `__post_init__`, so the
-flag overrides pass the same checks, and `config_echo` is `asdict` of the
-same objects.
+``preprocess.rfe`` is `trees.RfeConfig`, an ``engineered`` entry is
+`preprocess.EngineeredFeature` and a ``schema`` entry is `tabular.ColumnSchema`,
+each next to the code that uses it. The ``cv.models`` grids are checked by
+`trees.check_grid`, which holds every family's grid keys and value rules.
+`_parse_section` takes the allowed keys and defaults from `dataclasses.fields`
+and each scalar's type from the field's annotation, where `X | None` means
+the key may be null. Only the structured keys (schema, engineered, models,
+classes, features) have parsers of their own; a field whose type is a
+dataclass is parsed as a nested section. The value checks live in each
+dataclass's `__post_init__`, so the flag overrides pass the same checks, and
+`config_echo` is `asdict` of the same objects.
 """
 
 from __future__ import annotations
@@ -137,32 +137,16 @@ def _parse_path(value: Any, where: str) -> Path:
 
 
 def _parse_schema(section: Any, where: str) -> tuple[ColumnSchema, ...]:
+    """Each entry is a role or a mapping of role and encoding."""
     section = _expect_mapping(section, where)
     if not section:
         raise ConfigError(f"{where} must name at least one column")
     columns = []
     for name, value in section.items():
         entry = f"{where}.{name}"
-        try:
-            if isinstance(value, str):
-                columns.append(ColumnSchema(name=name, role=value))
-            else:
-                value = _expect_mapping(value, entry)
-                _reject_unknown(value, ("role", "encoding"), entry)
-                if "role" not in value:
-                    raise ConfigError(f"{entry} needs a role")
-                encoding = None
-                if "encoding" in value:
-                    encoding = _scalar(value["encoding"], str, f"{entry}.encoding")
-                columns.append(
-                    ColumnSchema(
-                        name=name,
-                        role=_scalar(value["role"], str, f"{entry}.role"),
-                        encoding=encoding,
-                    )
-                )
-        except DataError as exc:
-            raise ConfigError(f"{entry}: {exc}") from exc
+        value = {"role": value} if isinstance(value, str) else _expect_mapping(value, entry)
+        _reject_unknown(value, ("role", "encoding"), entry)
+        columns.append(_parse_section(ColumnSchema, {"name": name} | value, entry))
     try:
         validate_schema(columns)
     except DataError as exc:

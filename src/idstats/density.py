@@ -467,11 +467,14 @@ def js_distance_from_masses(p: np.ndarray, q: np.ndarray) -> float:
     """Square root of the base-2 Jensen-Shannon divergence of two mass vectors.
 
     Each half-KL term is a * log2(2a / (p + q)), so no midpoint 0.5 * (p + q)
-    is formed that could underflow to 0 next to a subnormal mass. A
-    non-finite divergence (NaN or infinite masses) is a DataError.
+    is formed that could underflow to 0 next to a subnormal mass. Vectors of
+    different shapes or a non-finite divergence (NaN or infinite masses) are
+    a DataError.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise DataError(f"js_distance: mass vectors of shapes {p.shape} and {q.shape}")
     total = p + q
 
     def half_kl(a: np.ndarray) -> float:

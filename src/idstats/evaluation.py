@@ -13,7 +13,14 @@ import numpy as np
 from .errors import DataError, DataQualityWarning, IdstatsError
 from .parallel import ordered_map
 from .tabular import ColumnTable
-from .trees import ModelSpec, check_grid, derive_seed, fit_model, predict_proba
+from .trees import (
+    ModelSpec,
+    check_grid,
+    derive_seed,
+    fit_model,
+    fitter_defaults,
+    predict_proba,
+)
 
 # A model is stable when a metric's fold range (max − min) stays within this.
 STABILITY_RANGE = 0.04
@@ -363,9 +370,11 @@ class GridSearchResult:
         return self.cells[self.best_index].report
 
 
-def selection_key(params: dict, mean_test_f1: float) -> tuple:
+def selection_key(family: str, params: dict, mean_test_f1: float) -> tuple:
     """Sort key for model selection: higher F1, then fewer rounds/trees,
-    then lower depth. Minimizing the tuple picks the winner."""
+    then lower depth, where a size or depth the params omit is the family's
+    fitter default. Minimizing the tuple picks the winner."""
+    params = fitter_defaults(family) | params
     size = params.get("rounds", params.get("n_trees", 0))
     depth = params.get("max_depth")
     return (-mean_test_f1, size, math.inf if depth is None else depth)
@@ -424,7 +433,7 @@ def grid_search(
         cells = [GridCell(params, by_cell[i]) for i, params in enumerate(all_params)]
         best_index = min(
             range(len(cells)),
-            key=lambda i: selection_key(cells[i].params, cells[i].report.test_mean.f1)
+            key=lambda i: selection_key(family, cells[i].params, cells[i].report.test_mean.f1)
             + (i,),
         )
         results[family] = GridSearchResult(family, best_index, cells)

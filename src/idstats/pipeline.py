@@ -366,7 +366,7 @@ def run_cv(cfg: RunConfig) -> dict:
     ranked = sorted(
         searches.items(),
         key=lambda item: selection_key(
-            item[1].best_params, item[1].best_report.test_mean.f1
+            item[0], item[1].best_params, item[1].best_report.test_mean.f1
         ),
     )
     best_family, best_search = ranked[0]

@@ -90,9 +90,12 @@ def engineer_features(
     t: ColumnTable, spec: list[EngineeredFeature]
 ) -> ColumnTable:
     """Append derived columns: power(p) = sign(x)·|x|^p, reciprocal = 1/(x+ε);
-    a non-finite derived value (0^p for p < 0, 1/0) is a DataError."""
+    a non-finite derived value (0^p for p < 0, 1/0) or an output name that is
+    already a column is a DataError."""
     out = t
     for item in spec:
+        if item.output_name in out.columns:
+            raise DataError(f"engineered column {item.output_name!r} is already a column")
         x = t.column(item.source).astype(np.float64, copy=False)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if item.transform == "power":

@@ -182,7 +182,8 @@ class ColumnTable:
 
 def _parse_float(text: str) -> float | None:
     try:
-        value = float(text)
+        # float() refuses \x1c-\x1f padding, which str.strip() removes
+        value = float(text.strip())
     except ValueError:
         return None
     return value if math.isfinite(value) else None
@@ -191,10 +192,10 @@ def _parse_float(text: str) -> float | None:
 def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
     """Parse a comma-delimited UTF-8 file into a ColumnTable.
 
-    The header must contain exactly the schema names (any order). Rows with
-    missing or unparseable values in any non-drop column are removed and
-    counted in ``meta["dropped_rows"]`` with a warning; an unusable label
-    value is fatal.
+    The header must contain exactly the schema names (any order), each once;
+    a name given twice is a DataError. Rows with missing or unparseable
+    values in any non-drop column are removed and counted in
+    ``meta["dropped_rows"]`` with a warning; an unusable label value is fatal.
 
     Args:
         path: CSV file with one header row.
@@ -218,6 +219,9 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise DataError(f"{path}: header names column {name!r} twice")
         if set(header) != set(by_name):
             missing = sorted(set(by_name) - set(header))
             extra = sorted(set(header) - set(by_name))
@@ -226,10 +230,9 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
             )
 
         specs = [by_name[h] for h in header]
-        kept = [(i, s) for i, s in enumerate(specs) if s.role != "drop"]
-        label_pos = next(i for i, s in kept if s.role == "label")
-
-        raw_cols: dict[str, list] = {s.name: [] for _, s in kept if s.role != "label"}
+        label_pos = next(i for i, s in enumerate(specs) if s.role == "label")
+        kept = [(i, s) for i, s in enumerate(specs) if s.role in ("numeric", "categorical")]
+        raw_cols: list[list] = [[] for _ in kept]
         raw_labels: list[str] = []
         dropped = 0
         for row_no, row in enumerate(reader, start=2):
@@ -239,28 +242,16 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
             label = row[label_pos].strip()
             if not label:
                 raise DataError(f"{path}: line {row_no}: empty label value")
-            parsed: dict[str, object] = {}
-            ok = True
-            for i, spec in kept:
-                if spec.role == "label":
-                    continue
-                text = row[i].strip()
-                if spec.role == "numeric":
-                    value = _parse_float(text)
-                    if value is None:
-                        ok = False
-                        break
-                    parsed[spec.name] = value
-                else:
-                    if not text:
-                        ok = False
-                        break
-                    parsed[spec.name] = text
-            if not ok:
+            # None marks a cell that drops the row
+            cells = [
+                _parse_float(row[i]) if spec.role == "numeric" else row[i].strip() or None
+                for i, spec in kept
+            ]
+            if None in cells:
                 dropped += 1
                 continue
-            for name, value in parsed.items():
-                raw_cols[name].append(value)
+            for values, cell in zip(raw_cols, cells):
+                values.append(cell)
             raw_labels.append(label)
 
     if not raw_labels:
@@ -273,15 +264,10 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
         )
 
     vocabulary = LabelVocabulary.from_labels(raw_labels)
-    columns: dict[str, np.ndarray] = {}
-    for _, spec in kept:
-        if spec.role == "label":
-            continue
-        values = raw_cols[spec.name]
-        if spec.role == "numeric":
-            columns[spec.name] = np.asarray(values, dtype=np.float64)
-        else:
-            columns[spec.name] = np.asarray(values, dtype=object)
+    columns = {
+        spec.name: np.asarray(values, dtype=np.float64 if spec.role == "numeric" else object)
+        for (_, spec), values in zip(kept, raw_cols)
+    }
     table = ColumnTable(columns, vocabulary.encode(raw_labels), vocabulary)
     table.meta["source_rows"] = len(raw_labels) + dropped
     table.meta["dropped_rows"] = dropped

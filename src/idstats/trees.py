@@ -630,6 +630,12 @@ _FITTERS = {
 }
 
 
+def fitter_defaults(family: str) -> dict:
+    """The family's fitter parameters that have a default, with that default."""
+    parameters = inspect.signature(_FITTERS[family]).parameters.values()
+    return {p.name: p.default for p in parameters if p.default is not p.empty}
+
+
 def _is_int(value: Any, low: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
@@ -676,7 +682,7 @@ def check_grid(family: str, grid: Any, where: str) -> None:
         raise DataError(f"{where} must be a mapping, got {type(grid).__name__}")
     if not grid:
         raise DataError(f"{where} must list at least one parameter's candidate values")
-    allowed = inspect.signature(_FITTERS[family]).parameters.keys() & GRID_VALUES.keys()
+    allowed = fitter_defaults(family).keys() & GRID_VALUES.keys()
     unknown = sorted(set(grid) - allowed)
     if unknown:
         raise DataError(f"unknown key(s) in {where}: {', '.join(map(repr, unknown))}")

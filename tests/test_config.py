@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 from idstats.config import apply_overrides, config_echo, parse_config
 from idstats.errors import ConfigError, DataQualityWarning
@@ -177,6 +178,20 @@ def test_wy_values_need_no_class_pair_until_the_stage_runs():
     with pytest.warns(DataQualityWarning, match="only 2 rows"):
         _, n_a, n_b = class_pair_columns(table, ["x"], wy)
     assert (n_a, n_b) == (2, 2)
+
+
+def test_schema_column_names_are_strings():
+    text = "input: flows.csv\nschema:\n  {key}: numeric\n  y: label\n"
+    message = "config.schema.80.name must be str, got int"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(yaml.safe_load(text.format(key="80")))
+    cfg = parse_config(yaml.safe_load(text.format(key='"80"')))
+    assert [column.name for column in cfg.schema] == ["80", "y"]
+
+
+def test_a_schema_entry_needs_a_role():
+    with pytest.raises(ConfigError, match=re.escape("config.schema.x needs 'role'")):
+        parse_config(doc(schema={"x": {"encoding": "dummy"}, "y": "label"}))
 
 
 def test_the_wy_section_is_the_test_config():

@@ -517,6 +517,11 @@ def test_js_distance_identity_symmetry_bounds():
     ) == pytest.approx(1.0)
 
 
+def test_js_distance_refuses_mass_vectors_of_different_lengths():
+    with pytest.raises(DataError, match=r"shapes \(2,\) and \(1,\)"):
+        js_distance_from_masses(np.array([0.5, 0.5]), np.array([1.0]))
+
+
 def test_js_distance_half_overlap_value():
     # p=[1/2,1/2], q=[1,0], m=[3/4,1/4]:
     # JSD = 1/2*(1/2*log2(2/3) + 1/2) + 1/2*log2(4/3), distance is its root

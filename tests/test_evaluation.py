@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -204,11 +205,26 @@ def test_grid_search_picks_highest_f1_then_smallest_model():
 
 
 def test_selection_key_orders_as_documented():
-    assert selection_key({"n_trees": 10}, 0.9) < selection_key({"n_trees": 10}, 0.8)
-    assert selection_key({"n_trees": 5}, 0.9) < selection_key({"n_trees": 50}, 0.9)
-    assert selection_key({"rounds": 20, "max_depth": 3}, 0.9) < selection_key(
-        {"rounds": 20, "max_depth": None}, 0.9
+    assert selection_key("forest", {"n_trees": 10}, 0.9) < selection_key(
+        "forest", {"n_trees": 10}, 0.8
     )
+    assert selection_key("forest", {"n_trees": 5}, 0.9) < selection_key(
+        "forest", {"n_trees": 50}, 0.9
+    )
+    assert selection_key("gbdt", {"rounds": 20, "max_depth": 3}, 0.9) < selection_key(
+        "gbdt", {"rounds": 20, "max_depth": None}, 0.9
+    )
+
+
+def test_selection_key_takes_omitted_keys_from_the_fitter_defaults():
+    # fit_forest grows 100 unbounded trees, fit_gbdt 100 rounds of depth 6
+    assert selection_key("forest", {"max_depth": 8}, 1.0) == (-1.0, 100, 8)
+    assert selection_key("gbdt", {"rounds": 10}, 1.0) == (-1.0, 10, 6)
+    assert selection_key("gbdt", {}, 1.0) < selection_key("forest", {}, 1.0)
+    assert selection_key("gbdt", {"rounds": 10}, 1.0) < selection_key(
+        "forest", {"max_depth": 8}, 1.0
+    )
+    assert selection_key("majority", {}, 1.0) == (-1.0, 0, math.inf)
 
 
 @pytest.mark.parametrize(

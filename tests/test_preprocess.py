@@ -185,6 +185,15 @@ def test_engineer_features_rejects_non_finite_values(item, value, column):
         engineer_features(t, [item])
 
 
+def test_engineer_features_refuses_an_existing_column():
+    t = table_from(x=[1.0, 4.0], x_pow2=[7.0, 7.0])
+    with pytest.raises(DataError, match="'x_pow2' is already a column"):
+        engineer_features(t, [EngineeredFeature("x", "power", 2.0)])
+    twice = [EngineeredFeature("x", "reciprocal")] * 2
+    with pytest.raises(DataError, match="'x_recip' is already a column"):
+        engineer_features(table_from(x=[1.0, 4.0]), twice)
+
+
 def test_engineered_feature_validation():
     with pytest.raises(DataError):
         EngineeredFeature("v", "log")

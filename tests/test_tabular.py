@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -136,6 +139,130 @@ def test_load_csv_accepts_reordered_header_and_bom(tmp_path):
     assert t.n_rows == 1
     assert t.column("rate")[0] == 1.25
     assert t.column("proto")[0] == "tcp"
+
+
+def test_load_csv_refuses_a_header_that_names_a_column_twice(tmp_path):
+    path = write_csv(tmp_path / "a.csv", ["1,2,normal"], header="a,a,Label")
+    schema = [ColumnSchema("a", "numeric"), ColumnSchema("Label", "label")]
+    with pytest.raises(DataError, match="header names column 'a' twice"):
+        load_csv(path, schema)
+
+
+def load_csv_by_row_loop(path, schema):
+    """Reference ingest: the per-row dict loop that load_csv replaced, for a
+    file whose header is valid. Returns (columns, labels, dropped rows)."""
+    by_name = {c.name: c for c in schema}
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = [h.strip() for h in next(reader)]
+        kept = [(i, by_name[h]) for i, h in enumerate(header) if by_name[h].role != "drop"]
+        label_pos = next(i for i, s in kept if s.role == "label")
+        raw_cols = {s.name: [] for _, s in kept if s.role != "label"}
+        raw_labels, dropped = [], 0
+        for row in reader:
+            if len(row) != len(header):
+                dropped += 1
+                continue
+            parsed, ok = {}, True
+            for i, spec in kept:
+                if spec.role == "label":
+                    continue
+                text = row[i].strip()
+                if spec.role == "numeric":
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        value = math.nan
+                    ok = math.isfinite(value)
+                else:
+                    value, ok = text, bool(text)
+                if not ok:
+                    break
+                parsed[spec.name] = value
+            if not ok:
+                dropped += 1
+                continue
+            for name, value in parsed.items():
+                raw_cols[name].append(value)
+            raw_labels.append(row[label_pos].strip())
+    return raw_cols, raw_labels, dropped
+
+
+LABEL_ONLY = [ColumnSchema("label", "label")]
+DROPS = [
+    ColumnSchema("junk", "drop"),
+    ColumnSchema("rate", "numeric"),
+    ColumnSchema("more_junk", "drop"),
+    ColumnSchema("label", "label"),
+]
+LOAD_FIXTURES = {
+    "padded_cells": (SCHEMA, "rate,proto,port,flag,junk,label", [
+        " 1.5 , tcp ,\t80\t, S ,x, normal ",
+        "\x1c2.0\x1f,udp\x1c, 53,A ,x,attack",
+        "  -3e2,\u00a0tcp,80,S,x,normal",
+    ]),
+    "bom_and_reordered_header": (SCHEMA, "\ufefflabel,rate,junk,flag,port,proto", [
+        "normal,1.25,z,S,80,tcp",
+        "attack,2,z,A,53,udp",
+        "normal,-0.0,z,F,443,tcp",
+    ]),
+    "unparseable_cells": (SCHEMA, "rate,proto,port,flag,junk,label", [
+        "oops,tcp,80,S,x,normal",
+        "1.2.3,tcp,80,S,x,attack",
+        ",tcp,80,S,x,normal",
+        "--1,tcp,80,S,x,attack",
+        "1_000,tcp,80,S,x,normal",
+        "4,tcp,80,S,x,attack",
+    ]),
+    "inf_and_nan": (SCHEMA, "rate,proto,port,flag,junk,label", [
+        "inf,tcp,80,S,x,normal",
+        "-Infinity,tcp,80,S,x,attack",
+        "nan,tcp,80,S,x,normal",
+        "1e400,tcp,80,S,x,attack",
+        "1e-400,tcp,80,S,x,normal",
+        "7,udp,53,A,x,attack",
+    ]),
+    "empty_categorical_cells": (SCHEMA, "rate,proto,port,flag,junk,label", [
+        "1,,80,S,x,normal",
+        "2,tcp,  ,S,x,attack",
+        "3,tcp,80,\t,x,normal",
+        "4,tcp,80,S,,attack",
+        "5,tcp,80,S,x,normal",
+    ]),
+    "wrong_row_widths": (SCHEMA, "rate,proto,port,flag,junk,label", [
+        "1,tcp,80,S,x,normal,extra",
+        "2,tcp,80,S,attack",
+        "",
+        "3,tcp,80,S,x,normal",
+    ]),
+    "drop_role_columns": (DROPS, "junk,rate,more_junk,label", [
+        ",1,oops,normal",
+        "nan,2,,attack",
+        "x,oops,y,normal",
+    ]),
+    "label_only_schema": (LABEL_ONLY, "label", ["normal", " attack ", "", "normal"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_FIXTURES))
+def test_load_csv_loads_the_table_of_the_row_loop(tmp_path, name):
+    schema, header, rows = LOAD_FIXTURES[name]
+    path = write_csv(tmp_path / "t.csv", rows, header=header)
+    columns, labels, dropped = load_csv_by_row_loop(path, schema)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataQualityWarning)
+        t = load_csv(path, schema)
+    assert t.meta == {"source_rows": len(labels) + dropped, "dropped_rows": dropped}
+    assert t.vocabulary.names == tuple(sorted(set(labels)))
+    assert [t.vocabulary.name_of(i) for i in t.labels] == labels
+    assert list(t.columns) == list(columns)
+    for column, values in columns.items():
+        got = t.column(column)
+        if isinstance(values[0], str):
+            assert got.dtype == object and got.tolist() == values
+        else:
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
 
 
 def test_dedup_keeps_first_occurrence():
