@@ -268,11 +268,10 @@ def cv_bandwidth(
 
 @dataclass(frozen=True)
 class KdeModel:
-    """Gaussian-kernel density estimate: samples, bandwidth, and its policy."""
+    """Gaussian-kernel density estimate: its samples and bandwidth."""
 
     samples: np.ndarray
     bandwidth: float
-    policy: str
 
     def __post_init__(self) -> None:
         if self.samples.size == 0:
@@ -287,33 +286,25 @@ def bandwidth_for(
     x: np.ndarray,
     policy: str,
     seed: int | list[int] = 0,
-    candidates: np.ndarray | None = None,
+    n_candidates: int = 20,
     folds: int = DEFAULT_CV_FOLDS,
 ) -> float:
-    """Bandwidth under the named policy: scott, silverman, or cv."""
+    """Bandwidth under the named policy: scott, silverman, or cv. Only cv
+    reads the rest: it picks among default_cv_candidates(x, n_candidates)
+    over ``folds`` folds shuffled from ``seed``."""
     if policy == "scott":
         return scott_bandwidth(x)
     if policy == "silverman":
         return silverman_bandwidth(x)
     if policy == "cv":
-        return cv_bandwidth(x, candidates=candidates, folds=folds, seed=seed)
+        return cv_bandwidth(x, default_cv_candidates(x, n_candidates), folds, seed)
     raise DataError(f"unknown bandwidth policy {policy!r}")
 
 
-def fit_kde(
-    x: np.ndarray,
-    policy: str = "scott",
-    seed: int | list[int] = 0,
-    candidates: np.ndarray | None = None,
-    folds: int = DEFAULT_CV_FOLDS,
-    bandwidth: float | None = None,
-) -> KdeModel:
-    """Fit a KDE under a bandwidth policy, or with an explicit bandwidth."""
+def fit_kde(x: np.ndarray, policy: str = "scott", seed: int | list[int] = 0) -> KdeModel:
+    """Fit a KDE under a bandwidth policy (a fixed bandwidth h is KdeModel(x, h))."""
     x = np.asarray(x, dtype=np.float64)
-    if bandwidth is not None:
-        return KdeModel(samples=x, bandwidth=float(bandwidth), policy="fixed")
-    h = bandwidth_for(x, policy, seed=seed, candidates=candidates, folds=folds)
-    return KdeModel(samples=x, bandwidth=h, policy=policy)
+    return KdeModel(x, bandwidth_for(x, policy, seed))
 
 
 def kde_eval(model: KdeModel, points: np.ndarray) -> np.ndarray:
@@ -595,7 +586,7 @@ def shape_summary(
     grid = make_grid([x_all], max(h for _, _, h in per_class), n_points)
     shapes = []
     for name, x, h in per_class:
-        model = KdeModel(samples=x, bandwidth=h, policy=policy)
+        model = KdeModel(x, h)
         shapes.append(
             ClassShape(
                 class_name=name,

@@ -373,10 +373,11 @@ class GridSearchResult:
 def selection_key(family: str, params: dict, mean_test_f1: float) -> tuple:
     """Sort key for model selection: higher F1, then fewer rounds/trees,
     then lower depth, where a size or depth the params omit is the family's
-    fitter default. Minimizing the tuple picks the winner."""
+    fitter default, and 0 for a fitter without one (majority is one leaf).
+    Minimizing the tuple picks the winner."""
     params = fitter_defaults(family) | params
     size = params.get("rounds", params.get("n_trees", 0))
-    depth = params.get("max_depth")
+    depth = params.get("max_depth", 0)
     return (-mean_test_f1, size, math.inf if depth is None else depth)
 
 

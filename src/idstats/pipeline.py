@@ -51,7 +51,7 @@ from .trees import (
     rfe,
     save_model,
 )
-from .wytest import class_pair_columns, decide, observed_details, wy_maxT
+from .wytest import decide, observed_details, wy_maxT
 
 REPORT_FORMAT = "idstats-report"
 REPORT_VERSION = 1
@@ -536,26 +536,22 @@ def run_wy(cfg: RunConfig) -> dict:
 
     ``cfg.threads`` processes compute the observed statistics, one task per
     feature, and then the permutations, which refit both bandwidths each
-    time. The observed details are kept for the overlaps and plot data, and
-    the class-pair matrix is built once for both passes.
+    time. The observation carries the class-pair matrix, settings and seed
+    to the permutations, and its details feed the overlaps and plot data.
     """
     art = load_artifacts(cfg.output)
     features = _analysis_features(art, cfg.wy.features)
     seed = derive_seed(cfg.seed, _WY_TAG)
 
-    columns = class_pair_columns(art.train, features, cfg.wy)
     observed = observed_details(
-        art.train, features, cfg.wy, workers=cfg.threads, columns=columns, seed=seed
+        art.train, features, cfg.wy, workers=cfg.threads, seed=seed
     )
-    report = wy_maxT(
-        art.train, features, cfg.wy, workers=cfg.threads, observed=observed,
-        columns=columns, seed=seed,
-    )
+    report = wy_maxT(observed, workers=cfg.threads)
     decision = decide(report)
 
     plot_dir = cfg.output / "plotdata"
     overlap = {}
-    for detail in observed:
+    for detail in observed.details:
         pair = detail.pair
         x = pair.grid.points
         spacing = pair.grid.spacing

@@ -181,9 +181,13 @@ class ColumnTable:
 
 
 def _parse_float(text: str) -> float | None:
+    # float() refuses \x1c-\x1f padding, which str.strip() removes; it takes
+    # Python literal spellings no CSV number has: 1_000 and non-ASCII digits
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        return None
     try:
-        # float() refuses \x1c-\x1f padding, which str.strip() removes
-        value = float(text.strip())
+        value = float(text)
     except ValueError:
         return None
     return value if math.isfinite(value) else None
@@ -349,7 +353,8 @@ def apply_encoders(t: ColumnTable, e: EncoderState) -> ColumnTable:
 
     Unseen categories map to 0.0 (frequency), all-zero indicators (dummy), or
     the -1 code (integer-label). Dummy indicators take the source column's
-    position in the column order.
+    position in the column order; an indicator name that is already a column
+    or another indicator is a DataError.
     """
     columns: dict[str, np.ndarray] = {}
     for name, col in t.columns.items():
@@ -361,7 +366,10 @@ def apply_encoders(t: ColumnTable, e: EncoderState) -> ColumnTable:
         elif name in e.dummy:
             as_str = col.astype(str)
             for category in e.dummy[name]:
-                columns[f"{name}{category}"] = (as_str == category).astype(np.float64)
+                indicator = f"{name}{category}"
+                if indicator in t.columns or indicator in columns:
+                    raise DataError(f"dummy indicator {indicator!r} is already a column")
+                columns[indicator] = (as_str == category).astype(np.float64)
         elif name in e.integer:
             table = e.integer[name]
             columns[name] = np.array(

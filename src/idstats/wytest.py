@@ -14,7 +14,6 @@ from .density import (
     DensityPair,
     KdeModel,
     bandwidth_for,
-    default_cv_candidates,
     js_distance,
     make_grid,
     to_mass_pair,
@@ -100,14 +99,6 @@ class WyTestReport:
     config: WyConfig
 
 
-def _side_bandwidth(x: np.ndarray, cfg: WyConfig, seed_path: list[int]) -> float:
-    """One side's bandwidth; only the cv policy draws from ``seed_path``."""
-    if cfg.bandwidth != "cv":
-        return bandwidth_for(x, cfg.bandwidth)
-    candidates = default_cv_candidates(x, cfg.cv_candidates)
-    return bandwidth_for(x, "cv", seed_path, candidates, cfg.cv_folds)
-
-
 def _pair_statistic(
     xa: np.ndarray, xb: np.ndarray, cfg: WyConfig, seed: int, b: int, feature_index: int
 ) -> tuple[float, float, float, DensityPair]:
@@ -117,14 +108,11 @@ def _pair_statistic(
     (seed, side, permutation index, feature index) so the statistic is a
     deterministic function of the permuted data.
     """
-    h_a = _side_bandwidth(xa, cfg, [seed, _CV_TAG_A, b, feature_index])
-    h_b = _side_bandwidth(xb, cfg, [seed, _CV_TAG_B, b, feature_index])
+    cv = (cfg.cv_candidates, cfg.cv_folds)
+    h_a = bandwidth_for(xa, cfg.bandwidth, [seed, _CV_TAG_A, b, feature_index], *cv)
+    h_b = bandwidth_for(xb, cfg.bandwidth, [seed, _CV_TAG_B, b, feature_index], *cv)
     grid = make_grid([xa, xb], max(h_a, h_b), cfg.grid_size)
-    pair = to_mass_pair(
-        KdeModel(samples=xa, bandwidth=h_a, policy=cfg.bandwidth),
-        KdeModel(samples=xb, bandwidth=h_b, policy=cfg.bandwidth),
-        grid,
-    )
+    pair = to_mass_pair(KdeModel(xa, h_a), KdeModel(xb, h_b), grid)
     return js_distance(pair), h_a, h_b, pair
 
 
@@ -196,25 +184,36 @@ def _observed_feature(shared: tuple, i: int) -> ObservedFeature:
     return ObservedFeature(features[i], stat, h_a, h_b, pair, n_a, values.size - n_a)
 
 
+@dataclass(frozen=True)
+class Observation:
+    """The observed test: its settings and master seed, the pooled class-pair
+    matrix (class-a rows first) with the class-a row count, and the
+    per-feature observed statistics. The permutations are drawn from it."""
+
+    cfg: WyConfig
+    seed: int
+    pooled: np.ndarray
+    n_a: int
+    details: tuple[ObservedFeature, ...]
+
+
 def observed_details(
-    table: ColumnTable,
-    features: list[str],
-    cfg: WyConfig,
-    workers: int = 1,
-    columns: tuple[np.ndarray, int, int] | None = None,
-    seed: int = 0,
-) -> list[ObservedFeature]:
+    table: ColumnTable, features: list[str], cfg: WyConfig, workers: int = 1, seed: int = 0
+) -> Observation:
     """Observed per-feature statistics with bandwidths and mass pairs.
 
     The features run on ``workers`` processes; the results do not depend on
-    it. ``columns`` is a class_pair_columns result for the same features to
-    reuse; it is built here when omitted. ``seed`` is wy_maxT's master seed.
+    it. ``seed`` is the master seed of the permutation and bandwidth-CV
+    streams, which wy_maxT reads from the returned Observation.
     """
-    pooled, n_a, _ = columns or class_pair_columns(table, features, cfg)
-    return ordered_map(
+    if not features:
+        raise DataError("the permutation test needs at least one feature")
+    pooled, n_a, _ = class_pair_columns(table, features, cfg)
+    details = ordered_map(
         _observed_feature, range(len(features)), (pooled, n_a, features, cfg, seed),
         workers=workers,
     )
+    return Observation(cfg, seed, pooled, n_a, tuple(details))
 
 
 def _permutation_rows(shared: tuple, b_values: list[int]) -> np.ndarray:
@@ -240,57 +239,30 @@ def _permutation_rows(shared: tuple, b_values: list[int]) -> np.ndarray:
     return out
 
 
-def wy_maxT(
-    table: ColumnTable,
-    features: list[str],
-    cfg: WyConfig,
-    workers: int = 1,
-    observed: list[ObservedFeature] | None = None,
-    columns: tuple[np.ndarray, int, int] | None = None,
-    seed: int = 0,
-) -> WyTestReport:
-    """Run the single-step maxT permutation test.
+def wy_maxT(observed: Observation, workers: int = 1) -> WyTestReport:
+    """Run the single-step maxT permutation test from an observation.
 
     For b = 1..B the pooled two-class labels are permuted once (shared across
     features), per-feature statistics T_{i,b} are recomputed through the
-    identical KDE pipeline, and the trace records T_b = max_i T_{i,b}. The
-    adjusted p-value of feature i is (1 + #{b: T_b >= T_i}) / (B + 1).
-
-    Args:
-        table: encoded table containing both classes.
-        features: numeric feature names to test.
-        cfg: test configuration.
-        workers: processes for the observed statistics and then the
-            permutation loop; results are independent of this.
-        observed: precomputed observed_details output to reuse; computed here
-            when omitted.
-        columns: precomputed class_pair_columns output for the same features
-            to reuse; built here when omitted.
-        seed: master seed of the permutation and bandwidth-CV streams.
+    identical KDE pipeline, with the observation's settings and seed, and the
+    trace records T_b = max_i T_{i,b}. The adjusted p-value of feature i is
+    (1 + #{b: T_b >= T_i}) / (B + 1). The permutations run on ``workers``
+    processes; results are independent of it.
     """
-    if not features:
-        raise DataError("wy_maxT needs at least one feature")
-    columns = columns or class_pair_columns(table, features, cfg)
-    pooled, n_a, n_b = columns
-    if observed is None:
-        observed = observed_details(
-            table, features, cfg, workers=workers, columns=columns, seed=seed
-        )
-    elif [d.feature for d in observed] != list(features):
-        raise DataError("observed details do not match the feature list")
-
+    cfg = observed.cfg
     # workers * 4 chunks of permutations keep the pool's load balanced
     b_values = list(range(1, cfg.permutations + 1))
     chunk_size = max(1, -(-cfg.permutations // (max(workers, 1) * 4)))
     chunks = [b_values[i : i + chunk_size] for i in range(0, len(b_values), chunk_size)]
     parts = ordered_map(
-        _permutation_rows, chunks, (pooled, n_a, cfg, seed), workers=workers
+        _permutation_rows, chunks, (observed.pooled, observed.n_a, cfg, observed.seed),
+        workers=workers,
     )
     stat_rows = np.vstack(parts)
 
     trace = stat_rows.max(axis=1)
     results = []
-    for i, detail in enumerate(observed):
+    for detail in observed.details:
         exceed = int(np.sum(trace >= detail.statistic))
         p = (1 + exceed) / (cfg.permutations + 1)
         if exceed == 0:
@@ -303,8 +275,8 @@ def wy_maxT(
                 statistic=detail.statistic,
                 p_value=p,
                 p_display=display,
-                n_a=n_a,
-                n_b=n_b,
+                n_a=detail.n_a,
+                n_b=detail.n_b,
                 bandwidth_a=detail.bandwidth_a,
                 bandwidth_b=detail.bandwidth_b,
             )

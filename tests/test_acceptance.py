@@ -37,7 +37,7 @@ from idstats.pipeline import run_stage
 from idstats.preprocess import kendall_tau_b, quantile, robust_fit, robust_transform
 from idstats.tabular import ColumnTable, LabelVocabulary, stratified_split
 from idstats.trees import fit_forest, fit_gbdt, fit_majority, fit_tree, predict_proba
-from idstats.wytest import WyConfig, wy_maxT
+from idstats.wytest import WyConfig, observed_details, wy_maxT
 
 DATASET_ENV = "IDSTATS_DATASET"
 SCHEMA_ENV = "IDSTATS_DATASET_SCHEMA"
@@ -91,7 +91,7 @@ def _adjusted_p_bounds_and_monotonicity() -> None:
     cfg = WyConfig(
         classes=("a", "b"), permutations=120, bandwidth="scott", grid_size=128,
     )
-    report = wy_maxT(table, list(cols), cfg, seed=7)
+    report = wy_maxT(observed_details(table, list(cols), cfg, seed=7))
     lo = 1.0 / (cfg.permutations + 1)
     last = 0.0
     for r in sorted(report.results, key=lambda r: r.statistic, reverse=True):
@@ -244,7 +244,8 @@ def test_criterion_2_null_error_control(capsys):
     for rep_id in range(20):
         table = _seven_feature_table(np.random.default_rng([777, rep_id]), 0.0)
         cfg = WyConfig(classes=("a", "b"), permutations=200, bandwidth="scott")
-        report = wy_maxT(table, features, cfg, workers=4, seed=rep_id)
+        observed = observed_details(table, features, cfg, workers=4, seed=rep_id)
+        report = wy_maxT(observed, workers=4)
         hits += min(r.p_value for r in report.results) < 0.05
     elapsed = time.perf_counter() - started
     with announced("criterion 2 (null FWER control)", capsys):
@@ -269,7 +270,7 @@ def test_criterion_3_shifted_alternative(capsys):
     table = _seven_feature_table(np.random.default_rng([778, 0]), 2.0)
     features = [f"f{i + 1}" for i in range(7)]
     cfg = WyConfig(classes=("a", "b"), permutations=1000, bandwidth="scott")
-    report = wy_maxT(table, features, cfg, workers=4, seed=5)
+    report = wy_maxT(observed_details(table, features, cfg, workers=4, seed=5), workers=4)
 
     # independent oracle: continuous JS integral of the two fitted KDEs for
     # the shifted feature, trapezoid rule on a fine grid

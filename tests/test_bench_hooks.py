@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from idstats import density, evaluation, pipeline, preprocess, trees
+from idstats.config import parse_config
 from idstats.trees import RfeConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -83,3 +84,36 @@ def test_the_tracer_counts_the_trees_of_the_forest_rfe_builds(tracing):
         tracer.undo()
     fits = tracer.named("trees.fit", caller="rfe")
     assert [(s.attrs["family"], s.attrs["trees"]) for s in fits] == [("forest", 3)]
+
+
+def test_a_traced_wy_run_keeps_the_observed_and_permutation_spans_apart(
+    tracing, tmp_path
+):
+    # the benchmark splits wy into wytest.observed and wytest.perm_loop; one
+    # span each means the observation is not recomputed inside the loop
+    rng = np.random.default_rng(3)
+    rows = ["rate,delay,label"] + [
+        f"{rng.normal(shift, 1.0):.6f},{rng.normal(0.0, 1.0):.6f},{label}"
+        for label, shift in (("attack", 2.0), ("normal", 0.0))
+        for _ in range(40)
+    ]
+    (tmp_path / "flows.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = parse_config(
+        {
+            "input": str(tmp_path / "flows.csv"),
+            "output": str(tmp_path / "out"),
+            "schema": {"rate": "numeric", "delay": "numeric", "label": "label"},
+            "preprocess": {"rfe": {"n_trees": 3, "keep_threshold": 0.0}},
+            "wy": {"classes": ["attack", "normal"], "permutations": 4,
+                   "bandwidth": "scott", "grid_size": 32},
+        }
+    )
+    tracer = tracing.Tracer()
+    tracing.install_layers(tracer)
+    try:
+        for stage in ("preprocess", "wy"):
+            pipeline.run_stage(cfg, stage)
+    finally:
+        tracer.undo()
+    assert len(tracer.named("wytest.observed")) == 1
+    assert len(tracer.named("wytest.perm_loop")) == 1

@@ -361,7 +361,7 @@ def test_kde_eval_matches_a_direct_sum_down_to_1e_250():
     samples = np.concatenate([rng.normal(0.0, 1.0, 40), rng.standard_cauchy(20)])
     h = 0.25
     points = np.linspace(samples.min() - 12.0, samples.max() + 12.0, 400)
-    got = kde_eval(fit_kde(samples, bandwidth=h), points)
+    got = kde_eval(KdeModel(samples, h), points)
     norm = samples.size * h * SQRT_2PI
     direct = np.array(
         [
@@ -396,14 +396,14 @@ def test_kde_eval_is_bit_identical_to_the_4m_block(n):
     samples = np.random.default_rng(42).gamma(0.5, 3.0, n)
     h = scott_bandwidth(samples) if n > 1 else 0.3
     points = np.linspace(samples.min() - 2.0, samples.max() + 2.0, 512)
-    got = kde_eval(fit_kde(samples, bandwidth=h), points)
+    got = kde_eval(KdeModel(samples, h), points)
     assert got.tobytes() == block_of_4m_exact_density(samples, points, h).tobytes()
 
 
 def test_kde_eval_is_zero_beyond_37_4_bandwidths():
     samples = np.array([-3.0, 0.0, 0.5, 8.0])
     h = 0.2
-    model = fit_kde(samples, bandwidth=h)
+    model = KdeModel(samples, h)
     cut = math.sqrt(1400.0)  # 37.42 bandwidths
     outside = np.array([-3.0 - 37.45 * h, 8.0 + 37.45 * h, 8.0 + 50 * h, -1e6])
     assert not np.any(kde_eval(model, outside))
@@ -412,15 +412,14 @@ def test_kde_eval_is_zero_beyond_37_4_bandwidths():
 
 
 def test_kde_single_point_peak_height():
-    model = fit_kde(np.array([0.0]), bandwidth=1.0)
-    assert model.policy == "fixed"
+    model = KdeModel(np.array([0.0]), 1.0)
     assert kde_eval(model, np.array([0.0]))[0] == pytest.approx(1.0 / SQRT_2PI)
 
 
 def test_kde_matches_hand_computed_sum():
     samples = np.array([-1.0, 0.0, 2.0])
     h = 0.5
-    model = fit_kde(samples, bandwidth=h)
+    model = KdeModel(samples, h)
     point = 0.25
     expect = sum(
         math.exp(-0.5 * ((point - s) / h) ** 2) for s in samples
@@ -439,14 +438,15 @@ def test_kde_integrates_to_one():
 
 def test_fit_kde_validates():
     with pytest.raises(DataError):
-        fit_kde(np.array([]), bandwidth=1.0)
+        KdeModel(np.array([]), 1.0)
     with pytest.raises(DataError):
-        fit_kde(np.array([1.0]), bandwidth=0.0)
+        KdeModel(np.array([1.0]), 0.0)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DataError, match="bandwidth must be finite"):
-            fit_kde(np.array([1.0, 2.0, 3.0]), bandwidth=bad)
-        with pytest.raises(DataError, match="bandwidth must be finite"):
-            KdeModel(np.array([1.0, 2.0, 3.0]), bad, "fixed")
+            KdeModel(np.array([1.0, 2.0, 3.0]), bad)
+    for policy in ("scott", "silverman", "cv"):
+        with pytest.raises(DataError, match="on an empty sample"):
+            fit_kde(np.array([]), policy=policy)
     with pytest.raises(DataError, match="policy"):
         fit_kde(np.array([1.0, 2.0]), policy="epanechnikov")
 
@@ -667,7 +667,7 @@ def test_kde_eval_matches_scipy_gaussian_kde(h):
     samples = rng.gamma(2.0, 1.5, 300)
     points = np.linspace(samples.min() - 3 * h, samples.max() + 3 * h, 257)
     reference = stats.gaussian_kde(samples, bw_method=h / samples.std(ddof=1))
-    ours = kde_eval(fit_kde(samples, bandwidth=h), points)
+    ours = kde_eval(KdeModel(samples, h), points)
     np.testing.assert_allclose(ours, reference(points), rtol=1e-10, atol=0.0)
 
 
@@ -736,8 +736,8 @@ def test_grid_density_matches_the_exact_sums(kind):
         xa, xb = sweep_sample(kind, n, rng), 1.3 * sweep_sample(kind, n, rng) + 0.2
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataQualityWarning)
-            a = KdeModel(xa, ratio * scott_bandwidth(xa), "scott")
-            b = KdeModel(xb, scott_bandwidth(xb), "scott")
+            a = KdeModel(xa, ratio * scott_bandwidth(xa))
+            b = KdeModel(xb, scott_bandwidth(xb))
         grid = make_grid([xa, xb], max(a.bandwidth, b.bandwidth), points)
         for model in (a, b):
             got = grid_density(model, grid)
@@ -775,7 +775,7 @@ def test_scott_on_512_points_takes_the_binned_path(n, kind, monkeypatch):
 
 def test_one_row_and_sub_spacing_bandwidths_stay_exact_bit_for_bit():
     rng = np.random.default_rng(43)
-    one = KdeModel(np.array([2.5]), 3e-3, "scott")
+    one = KdeModel(np.array([2.5]), 3e-3)
     grid = make_grid([one.samples, rng.normal(0.0, 1.0, 50)], 1.0, 512)
     exact = density._exact_density(one.samples, grid.points, one.bandwidth)
     assert np.array_equal(grid_density(one, grid), exact)
@@ -785,7 +785,7 @@ def test_one_row_and_sub_spacing_bandwidths_stay_exact_bit_for_bit():
     for spacing_over_h in (0.5, 1.0, 3.0):
         h = grid.spacing / spacing_over_h
         exact = density._exact_density(x, grid.points, h)
-        assert np.array_equal(grid_density(KdeModel(x, h, "cv"), grid), exact)
+        assert np.array_equal(grid_density(KdeModel(x, h), grid), exact)
 
 
 @pytest.mark.parametrize("side", ["below", "above", "both"])
@@ -793,10 +793,10 @@ def test_samples_outside_a_callers_grid_use_the_exact_sums(side):
     x = np.random.default_rng(44).normal(0.5, 0.3, 5000)
     x = {"below": np.minimum(x, 1.0), "above": np.maximum(x, 0.0), "both": x}[side]
     grid = EvalGrid(points=np.linspace(0.0, 1.0, 512))
-    model = KdeModel(x, 0.05, "fixed")
+    model = KdeModel(x, 0.05)
     exact = density._exact_density(x, grid.points, model.bandwidth)
     assert np.array_equal(grid_density(model, grid), exact)
-    inside = KdeModel(np.clip(x, 0.0, 1.0), 0.05, "fixed")
+    inside = KdeModel(np.clip(x, 0.0, 1.0), 0.05)
     got = grid_density(inside, grid)
     want = density._exact_density(inside.samples, grid.points, inside.bandwidth)
     assert not np.array_equal(got, want)  # binned
@@ -820,7 +820,7 @@ def test_samples_on_the_grid_edges_get_no_wrapped_mass(h):
     # fold the mass near one end onto the other
     x = np.concatenate([[0.0, 1.0], np.random.default_rng(47).beta(0.3, 0.3, 20_000)])
     grid = EvalGrid(points=np.linspace(0.0, 1.0, 512))
-    got = grid_density(KdeModel(x, h, "fixed"), grid)
+    got = grid_density(KdeModel(x, h), grid)
     want = density._exact_density(x, grid.points, h)
     assert not np.array_equal(got, want)  # binned
     assert np.max(np.abs(got - want)) <= 1e-5 * want.max()
@@ -837,7 +837,7 @@ def test_samples_on_the_grid_edges_get_no_wrapped_mass(h):
 def test_wide_kernels_and_two_point_grids_take_the_binned_path(points, h):
     x = np.random.default_rng(45).uniform(0.0, 1.0, 10_000)
     grid = EvalGrid(points=points)
-    model = KdeModel(x, h, "fixed")
+    model = KdeModel(x, h)
     layout = density._binned_layout(grid.size, grid.spacing, h)
     assert density._binned_is_cheaper(x.size, grid.size, layout[2])
     got = grid_density(model, grid)
@@ -854,5 +854,5 @@ def test_grid_density_matches_scipy_gaussian_kde(ratio):
     layout = density._binned_layout(grid.size, grid.spacing, h)
     assert density._binned_is_cheaper(samples.size, grid.size, layout[2])
     reference = stats.gaussian_kde(samples, bw_method=h / samples.std(ddof=1))(grid.points)
-    got = grid_density(KdeModel(samples, h, "fixed"), grid)
+    got = grid_density(KdeModel(samples, h), grid)
     assert np.max(np.abs(got - reference)) <= 1e-5 * reference.max()

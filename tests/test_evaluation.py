@@ -224,7 +224,10 @@ def test_selection_key_takes_omitted_keys_from_the_fitter_defaults():
     assert selection_key("gbdt", {"rounds": 10}, 1.0) < selection_key(
         "forest", {"max_depth": 8}, 1.0
     )
-    assert selection_key("majority", {}, 1.0) == (-1.0, 0, math.inf)
+    # majority's fitter has no depth: one leaf, so it wins an F1 tie
+    assert selection_key("majority", {}, 1.0) == (-1.0, 0, 0)
+    tree = selection_key("tree", {"max_depth": 3}, 1.0)
+    assert selection_key("majority", {}, 1.0) < tree
 
 
 @pytest.mark.parametrize(

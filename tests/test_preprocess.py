@@ -23,7 +23,7 @@ from idstats.preprocess import (
     robust_fit,
     robust_transform,
 )
-from idstats.tabular import ColumnTable, LabelVocabulary
+from idstats.tabular import ColumnTable, EncoderState, LabelVocabulary, apply_encoders
 
 
 def table_from(**columns):
@@ -192,6 +192,20 @@ def test_engineer_features_refuses_an_existing_column():
     twice = [EngineeredFeature("x", "reciprocal")] * 2
     with pytest.raises(DataError, match="'x_recip' is already a column"):
         engineer_features(table_from(x=[1.0, 4.0]), twice)
+
+
+def test_dummy_indicators_refuse_an_existing_column():
+    labels, vocab = np.array([0, 1]), LabelVocabulary(names=("a", "b"))
+    # categorical Port with category 80 next to a numeric Port80
+    cols = {"Port": np.array(["80", "443"], object), "Port80": np.array([1.0, 2.0])}
+    state = EncoderState(dummy={"Port": ["443", "80"]})
+    with pytest.raises(DataError, match="dummy indicator 'Port80' is already a column"):
+        apply_encoders(ColumnTable(cols, labels, vocab), state)
+    # a + bc and ab + c both name the indicator abc
+    cols = {"a": np.array(["bc", "x"], object), "ab": np.array(["c", "x"], object)}
+    state = EncoderState(dummy={"a": ["bc", "x"], "ab": ["c", "x"]})
+    with pytest.raises(DataError, match="dummy indicator 'abc' is already a column"):
+        apply_encoders(ColumnTable(cols, labels, vocab), state)
 
 
 def test_engineered_feature_validation():

@@ -111,6 +111,15 @@ def test_load_csv_parses_and_drops_bad_rows(tmp_path):
     assert t.labels.tolist() == [1, 0, 1]
 
 
+def test_load_csv_drops_number_spellings_only_python_reads(tmp_path):
+    # float() takes digit-group underscores, Arabic-Indic and fullwidth digits
+    rows = ["1_000,tcp,80,S,x,normal", "\u0661\u0662,tcp,80,S,x,attack",
+            "\uff11\uff12,tcp,80,S,x,normal", " 7 ,udp,53,A,x,attack"]
+    with pytest.warns(DataQualityWarning, match="dropped 3 rows"):
+        t = load_csv(write_csv(tmp_path / "d.csv", rows), SCHEMA)
+    assert t.column("rate").tolist() == [7.0]
+
+
 def test_load_csv_header_and_label_failures(tmp_path):
     bad_header = write_csv(tmp_path / "h.csv", ["1,tcp,80,S,x,normal"],
                            header="rate,proto,port,flag,junk,target")
@@ -170,6 +179,9 @@ def load_csv_by_row_loop(path, schema):
                 text = row[i].strip()
                 if spec.role == "numeric":
                     try:
+                        # a CSV number is ASCII without digit-group underscores
+                        if not text.isascii() or "_" in text:
+                            raise ValueError(text)
                         value = float(text)
                     except ValueError:
                         value = math.nan

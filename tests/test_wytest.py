@@ -8,8 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from idstats.density import bandwidth_for, js_distance, make_grid, to_mass_pair
-from idstats.density import KdeModel
+from idstats.density import KdeModel, bandwidth_for, js_distance, make_grid, to_mass_pair
 from idstats.errors import ConfigError, DataError, DataQualityWarning
 from idstats.tabular import ColumnTable, LabelVocabulary
 from idstats.wytest import (
@@ -67,7 +66,7 @@ def test_config_validation():
 def test_the_test_needs_a_class_pair():
     table = two_class_table(seed=0)
     with pytest.raises(ConfigError, match="class pair"):
-        wy_maxT(table, ["sig"], scott_config(classes=None))
+        observed_details(table, ["sig"], scott_config(classes=None))
 
 
 def test_trace_entries_match_independently_recomputed_statistics():
@@ -75,7 +74,7 @@ def test_trace_entries_match_independently_recomputed_statistics():
     # the pooled labels ourselves and rerunning the KDE arithmetic
     table = two_class_table(n_a=40, n_b=30, shift=1.0, seed=1, extra_null=False)
     cfg = scott_config(permutations=5)
-    report = wy_maxT(table, ["sig"], cfg, seed=SEED)
+    report = wy_maxT(observed_details(table, ["sig"], cfg, seed=SEED))
     pooled = np.concatenate(
         [
             table.column("sig")[table.labels == 0],
@@ -92,18 +91,14 @@ def test_trace_entries_match_independently_recomputed_statistics():
         h_a = bandwidth_for(xa, "scott")
         h_b = bandwidth_for(xb, "scott")
         grid = make_grid([xa, xb], max(h_a, h_b), cfg.grid_size)
-        pair = to_mass_pair(
-            KdeModel(samples=xa, bandwidth=h_a, policy="scott"),
-            KdeModel(samples=xb, bandwidth=h_b, policy="scott"),
-            grid,
-        )
+        pair = to_mass_pair(KdeModel(xa, h_a), KdeModel(xb, h_b), grid)
         assert report.max_trace[b - 1] == pytest.approx(js_distance(pair), abs=1e-12)
 
 
 def test_p_values_follow_the_exceedance_formula():
     table = two_class_table(shift=2.5, seed=2)
     cfg = scott_config(permutations=40)
-    report = wy_maxT(table, ["sig", "noise"], cfg, seed=SEED)
+    report = wy_maxT(observed_details(table, ["sig", "noise"], cfg, seed=SEED))
     assert report.max_trace.shape == (40,)
     for r in report.results:
         exceed = int(np.sum(report.max_trace >= r.statistic))
@@ -122,7 +117,7 @@ def test_p_values_follow_the_exceedance_formula():
 def test_p_value_bounds_and_monotonicity():
     table = two_class_table(shift=0.8, seed=4)
     cfg = scott_config(permutations=30)
-    report = wy_maxT(table, ["sig", "noise"], cfg, seed=SEED)
+    report = wy_maxT(observed_details(table, ["sig", "noise"], cfg, seed=SEED))
     by_stat = sorted(report.results, key=lambda r: r.statistic, reverse=True)
     lo = 1 / (cfg.permutations + 1)
     last_p = 0.0
@@ -139,7 +134,8 @@ def test_duplicate_features_share_the_permutation_stream():
         table.labels,
         table.vocabulary,
     )
-    report = wy_maxT(twin, ["sig", "copy"], scott_config(permutations=20), seed=SEED)
+    cfg = scott_config(permutations=20)
+    report = wy_maxT(observed_details(twin, ["sig", "copy"], cfg, seed=SEED))
     a, b = report.results
     assert a.statistic == b.statistic
     assert a.p_value == b.p_value
@@ -148,32 +144,44 @@ def test_duplicate_features_share_the_permutation_stream():
 def test_worker_count_does_not_change_results():
     table = two_class_table(shift=1.2, seed=6)
     cfg = scott_config(permutations=24)
-    serial = wy_maxT(table, ["sig", "noise"], cfg, workers=1, seed=SEED)
-    parallel = wy_maxT(table, ["sig", "noise"], cfg, workers=3, seed=SEED)
+    serial = wy_maxT(
+        observed_details(table, ["sig", "noise"], cfg, workers=1, seed=SEED), workers=1
+    )
+    parallel = wy_maxT(
+        observed_details(table, ["sig", "noise"], cfg, workers=3, seed=SEED), workers=3
+    )
     assert np.array_equal(serial.max_trace, parallel.max_trace)
     for rs, rp in zip(serial.results, parallel.results):
         assert rs == rp
 
 
-def test_precomputed_observed_must_match_the_feature_list():
-    table = two_class_table(seed=8)
-    cfg = scott_config(permutations=5)
-    observed = observed_details(table, ["sig"], cfg, seed=SEED)
-    with pytest.raises(DataError, match="match"):
-        wy_maxT(table, ["sig", "noise"], cfg, observed=observed, seed=SEED)
-    with_obs = wy_maxT(table, ["sig"], cfg, observed=observed, seed=SEED)
-    without = wy_maxT(table, ["sig"], cfg, seed=SEED)
-    assert with_obs.results == without.results
+def test_the_report_carries_the_observation():
+    table = two_class_table(shift=0.7, seed=8)
+    cfg = WyConfig(
+        classes=("atk", "norm"), permutations=6,
+        bandwidth="cv", grid_size=64, cv_candidates=4, cv_folds=3,
+    )
+    observed = observed_details(table, ["sig", "noise"], cfg, seed=SEED)
+    report = wy_maxT(observed)
+    assert report.config is observed.cfg
+    for r, d in zip(report.results, observed.details, strict=True):
+        assert (r.feature, r.statistic, r.bandwidth_a, r.bandwidth_b, r.n_a, r.n_b) == (
+            d.feature, d.statistic, d.bandwidth_a, d.bandwidth_b, d.n_a, d.n_b
+        )
+    # the permutations use the observation's seed: another seed's observation
+    # of the same table draws another null
+    other = wy_maxT(observed_details(table, ["sig", "noise"], cfg, seed=SEED + 1))
+    assert not np.array_equal(report.max_trace, other.max_trace)
 
 
 def test_observed_details_are_symmetric_in_the_class_pair():
     table = two_class_table(shift=0.5, seed=9)
     cfg = scott_config()
-    details = observed_details(table, ["sig", "noise"], cfg, seed=SEED)
+    observed = observed_details(table, ["sig", "noise"], cfg, seed=SEED)
     swapped = observed_details(
         table, ["sig", "noise"], scott_config(classes=("norm", "atk")), seed=SEED
     )
-    for d, s in zip(details, swapped):
+    for d, s in zip(observed.details, swapped.details, strict=True):
         assert s.feature == d.feature
         assert s.statistic == pytest.approx(d.statistic, abs=1e-15)
         assert (s.bandwidth_a, s.bandwidth_b) == (d.bandwidth_b, d.bandwidth_a)
@@ -186,8 +194,8 @@ def test_cv_policy_runs_and_is_deterministic():
         classes=("atk", "norm"), permutations=8,
         bandwidth="cv", grid_size=64, cv_candidates=5, cv_folds=3,
     )
-    r1 = wy_maxT(table, ["sig"], cfg, seed=2)
-    r2 = wy_maxT(table, ["sig"], cfg, seed=2)
+    r1 = wy_maxT(observed_details(table, ["sig"], cfg, seed=2))
+    r2 = wy_maxT(observed_details(table, ["sig"], cfg, seed=2))
     assert r1.results == r2.results
     assert np.array_equal(r1.max_trace, r2.max_trace)
     assert r1.results[0].bandwidth_a > 0.0
@@ -196,16 +204,16 @@ def test_cv_policy_runs_and_is_deterministic():
 def test_small_groups_and_constant_features_warn():
     table = two_class_table(n_a=10, n_b=25, seed=11, extra_null=False)
     with pytest.warns(DataQualityWarning, match="only 10 rows"):
-        wy_maxT(table, ["sig"], scott_config(permutations=3), seed=SEED)
+        observed_details(table, ["sig"], scott_config(permutations=3), seed=SEED)
     flat = ColumnTable(
         {"flat": np.zeros(50)},
         np.repeat([0, 1], 25),
         LabelVocabulary(names=("atk", "norm")),
     )
     with pytest.warns(DataQualityWarning) as records:
-        details = observed_details(flat, ["flat"], scott_config(permutations=3), seed=SEED)
+        observed = observed_details(flat, ["flat"], scott_config(permutations=3), seed=SEED)
     assert any("constant" in str(r.message) for r in records)
-    assert details[0].statistic == 0.0
+    assert observed.details[0].statistic == 0.0
 
 
 def test_small_class_warns_once_per_test():
@@ -213,10 +221,11 @@ def test_small_class_warns_once_per_test():
     for workers in (1, 2):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            wy_maxT(
+            observed = observed_details(
                 table, ["sig", "noise"], scott_config(permutations=4),
                 workers=workers, seed=SEED,
             )
+            wy_maxT(observed, workers=workers)
         small = [w for w in caught if "only 10 rows" in str(w.message)]
         assert len(small) == 1
 
@@ -225,7 +234,7 @@ def test_missing_class_and_empty_features_fail():
     table = two_class_table(seed=12)
     cfg = scott_config(permutations=3)
     with pytest.raises(DataError, match="at least one feature"):
-        wy_maxT(table, [], cfg, seed=SEED)
+        observed_details(table, [], cfg, seed=SEED)
     only_a = ColumnTable(
         {"sig": np.arange(5.0)}, np.zeros(5, dtype=np.int64),
         LabelVocabulary(names=("atk", "norm")),
@@ -238,7 +247,8 @@ def test_missing_class_and_empty_features_fail():
 
 def test_decide_applies_the_threshold():
     table = two_class_table(shift=2.5, seed=13)
-    report = wy_maxT(table, ["sig", "noise"], scott_config(permutations=60), seed=SEED)
+    cfg = scott_config(permutations=60)
+    report = wy_maxT(observed_details(table, ["sig", "noise"], cfg, seed=SEED))
     decision = decide(report)
     assert decision.alpha == 0.05
     assert decision.rejected["sig"] is True
