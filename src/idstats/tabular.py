@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,13 +196,28 @@ def _parse_float(text: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _checked(reader, path: str) -> Iterator[list[str]]:
+    """The records of a csv reader; a refused record or non-UTF-8 byte is a DataError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # decoding runs in chunks: split the lines as csv does, find the first not UTF-8
+        with open(path, newline="", encoding="latin-1") as raw:
+            lines = enumerate((text.encode("latin-1") for text in raw), 1)
+            line = next(i for i, b in lines if b.decode(errors="ignore").encode() != b)
+        raise DataError(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
     """Parse a comma-delimited UTF-8 file into a ColumnTable.
 
     The header must contain exactly the schema names (any order), each once;
-    a name given twice is a DataError. Rows with missing or unparseable
-    values in any non-drop column are removed and counted in
-    ``meta["dropped_rows"]`` with a warning; an unusable label value is fatal.
+    a name given twice, a byte that is not UTF-8 and a record the csv module
+    refuses are DataErrors. Rows with missing or unparseable values in any
+    non-drop column are removed and counted in ``meta["dropped_rows"]`` with
+    a warning; an unusable label value is fatal.
 
     Args:
         path: CSV file with one header row.
@@ -218,10 +236,10 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
 
     with handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        records = _checked(reader, path)
+        header = next(records, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
         header = [h.strip() for h in header]
         for i, name in enumerate(header):
             if name in header[:i]:
@@ -236,25 +254,28 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
         specs = [by_name[h] for h in header]
         label_pos = next(i for i, s in enumerate(specs) if s.role == "label")
         kept = [(i, s) for i, s in enumerate(specs) if s.role in ("numeric", "categorical")]
-        raw_cols: list[list] = [[] for _ in kept]
+        # numeric cells go straight into float64 buffers
+        buffers = [array("d") if s.role == "numeric" else [] for _, s in kept]
         raw_labels: list[str] = []
         dropped = 0
-        for row_no, row in enumerate(reader, start=2):
+        for row in records:
             if len(row) != len(header):
                 dropped += 1
                 continue
-            label = row[label_pos].strip()
+            # a text is interned, so each distinct one is stored once
+            label = sys.intern(row[label_pos].strip())
             if not label:
-                raise DataError(f"{path}: line {row_no}: empty label value")
+                raise DataError(f"{path}: line {reader.line_num}: empty label value")
             # None marks a cell that drops the row
             cells = [
-                _parse_float(row[i]) if spec.role == "numeric" else row[i].strip() or None
+                _parse_float(row[i]) if spec.role == "numeric"
+                else sys.intern(row[i].strip()) or None
                 for i, spec in kept
             ]
             if None in cells:
                 dropped += 1
                 continue
-            for values, cell in zip(raw_cols, cells):
+            for values, cell in zip(buffers, cells):
                 values.append(cell)
             raw_labels.append(label)
 
@@ -269,8 +290,8 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
 
     vocabulary = LabelVocabulary.from_labels(raw_labels)
     columns = {
-        spec.name: np.asarray(values, dtype=np.float64 if spec.role == "numeric" else object)
-        for (_, spec), values in zip(kept, raw_cols)
+        spec.name: np.frombuffer(values) if spec.role == "numeric" else np.array(values, object)
+        for (_, spec), values in zip(kept, buffers)
     }
     table = ColumnTable(columns, vocabulary.encode(raw_labels), vocabulary)
     table.meta["source_rows"] = len(raw_labels) + dropped

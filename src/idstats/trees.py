@@ -134,11 +134,6 @@ class Model:
 _BLOCK_CELLS = 1 << 17
 
 
-def _sorted_rows(X: np.ndarray) -> np.ndarray:
-    """p × n row ids, each feature's row sorted by that column (stable)."""
-    return np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
-
-
 def _class_sum(a: np.ndarray) -> np.ndarray:
     """Sum over the classes (axis 1) in np.sum's order for a row of classes."""
     if a.shape[1] < 8:
@@ -159,23 +154,26 @@ def _best_split(
 ) -> tuple[float, int, float] | None:
     """Best (gain, feature, threshold) over midpoint candidates, or None.
 
-    ``rows[f]`` lists the node's distinct rows sorted by feature f; row r
-    counts weight[r] times, and ``total`` holds the class counts of the n
-    rows. Candidates put the first s rows on the left, min_leaf <= s <=
-    n − min_leaf, at boundaries between distinct values. Features are scored
-    in blocks of at most _BLOCK_CELLS class × row cells. The first (feature,
+    ``rows`` holds the node's distinct row ids; row r counts weight[r] times,
+    and ``total`` holds the class counts of the n rows. Features are scored
+    in blocks of at most _BLOCK_CELLS class × row cells: a block's columns
+    are gathered and argsorted over the node's rows. Candidates put the first
+    s rows on the left, min_leaf <= s <= n − min_leaf, at boundaries between
+    distinct values. The counts at a boundary are exact integers, so the
+    order the sort gives equal values changes no gain. The first (feature,
     lowest threshold) wins ties, so the result is deterministic.
     """
     # An absent class adds exact zeros to the Gini sums, so below 8 classes,
     # where np.sum adds left to right, it can be left out.
     classes = np.flatnonzero(total) if total.size < 8 else np.arange(total.size)
     total = total[classes, None]
-    step = max(1, _BLOCK_CELLS // (classes.size * rows.shape[1]))
+    step = max(1, _BLOCK_CELLS // (classes.size * rows.size))
     best: tuple[float, int, float] | None = None
     for start in range(0, features.size, step):
         block = features[start:start + step]
-        order = rows[block]
-        vs = X.take(order * X.shape[1] + block[:, None])
+        vs = X.take(rows * X.shape[1] + block[:, None])
+        order = rows[vs.argsort(axis=1)]
+        vs.sort(axis=1)
         w = weight[order]
         # candidate i splits after the first i + 1 distinct rows
         sizes = w.cumsum(axis=1)[:, :-1]
@@ -217,9 +215,8 @@ def fit_tree(
     candidate split; otherwise the best candidate is taken (a zero-gain split
     is allowed; that is required to e.g. separate XOR at depth 2). When
     feature_subset < p, each node draws that many features without
-    replacement from the tree's RNG in depth-first order. Each column is
-    sorted once per fit and nodes split the presorted rows; the tree is the
-    one a sort at every node would grow.
+    replacement from the tree's RNG in depth-first order. Each node sorts its
+    own rows on the features it searches.
 
     Args:
         X: n × p float matrix.
@@ -236,8 +233,7 @@ def fit_tree(
     X, y, n_classes = _check_xy(X, y, n_classes)
     rng = np.random.default_rng(seed)
     tree = _grow_tree(
-        X, y, np.ones(X.shape[0]), _sorted_rows(X), n_classes, max_depth, min_leaf,
-        feature_subset, rng,
+        X, y, np.ones(X.shape[0]), n_classes, max_depth, min_leaf, feature_subset, rng
     )
     return Model("tree", [tree], n_classes, X.shape[1])
 
@@ -246,7 +242,6 @@ def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
     weight: np.ndarray,
-    order: np.ndarray,
     n_classes: int,
     max_depth: int | None,
     min_leaf: int,
@@ -255,31 +250,27 @@ def _grow_tree(
 ) -> Tree:
     """CART on the sample that holds row r of X weight[r] times.
 
-    ``order`` lists every row id of X sorted per feature (p × N). A node keeps
-    its distinct rows in that order, and a split partitions all p lists with
-    one mask, so no node sorts. The tree is the one grown on the expanded
-    sample by sorting at every node, since a node depends only on which rows
-    reach it and how often. Nodes are grown depth-first, left before right,
-    and a split appends both children to the arrays.
+    A node keeps one array of its distinct row ids, and a split sends the
+    rows with X[row, f] <= threshold left. The tree is the one grown on the
+    expanded sample, since a node depends only on which rows reach it and
+    how often. Nodes are grown depth-first, left before right, and a split
+    appends both children to the arrays.
     """
     p = X.shape[1]
     if min_leaf < 1:
         raise DataError("min_leaf must be >= 1")
     m = p if feature_subset is None else min(max(int(feature_subset), 1), p)
-    goes_left = np.zeros(X.shape[0], dtype=bool)
     nodes = _Nodes()
 
-    def node_for(rows: np.ndarray, counts=None) -> tuple:
+    def node_for(rows: np.ndarray) -> tuple:
         """(id, rows, class counts, size, impurity) of a new leaf."""
-        if counts is None:
-            counts = np.bincount(y[rows[0]], weights=weight[rows[0]], minlength=n_classes)
+        counts = np.bincount(y[rows], weights=weight[rows], minlength=n_classes)
         size = int(counts.sum())
         shares = counts / size
         impurity = float(1.0 - np.dot(shares, shares))  # gini(counts)
         return nodes.add(size, shares), rows, counts, size, impurity
 
-    rows = order[(weight > 0)[order]].reshape(p, np.count_nonzero(weight))
-    root = node_for(rows, np.bincount(y, weights=weight, minlength=n_classes))
+    root = node_for(np.flatnonzero(weight))
     n_root = root[3]
     # depth-first, left before right, so RNG consumption is deterministic
     stack = [(*root, 0)]
@@ -296,16 +287,11 @@ def _grow_tree(
         if best is None:
             continue
         _, f, threshold = best
-        by_feature = rows[f]
-        goes_left[by_feature] = X[by_feature, f] <= threshold
-        mask = goes_left[rows]
-        left = node_for(rows[mask].reshape(p, -1))
-        right = node_for(rows[~mask].reshape(p, -1))
-        (_, _, _, n_left, impurity_left), (_, _, _, n_right, impurity_right) = left, right
+        mask = X[rows, f] <= threshold
+        left, right = node_for(rows[mask]), node_for(rows[~mask])
+        (*_, n_left, impurity_left), (*_, n_right, impurity_right) = left, right
         # the impurity decrease, weighted by the node's share of the root's rows
-        decrease = (
-            size * impurity - n_left * impurity_left - n_right * impurity_right
-        ) / n_root
+        decrease = (size * impurity - n_left * impurity_left - n_right * impurity_right) / n_root
         nodes.split(i, f, threshold, left[0], right[0], decrease)
         stack.append((*right, depth + 1))
         stack.append((*left, depth + 1))
@@ -328,15 +314,13 @@ def _leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
 
 def _forest_tree(shared: tuple, i: int) -> Tree:
     """Tree i of a forest: its bootstrap and feature draws come from (seed, i)."""
-    X, y, order, n_classes, max_depth, min_leaf, m, bootstrap, seed = shared
-    n, p = X.shape
+    X, y, n_classes, max_depth, min_leaf, max_features, bootstrap, seed = shared
+    n = X.shape[0]
     rng = np.random.default_rng([seed, i])
     drawn = np.ones(n)
     if bootstrap:
         drawn = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-    return _grow_tree(
-        X, y, drawn, order, n_classes, max_depth, min_leaf, m if m < p else None, rng
-    )
+    return _grow_tree(X, y, drawn, n_classes, max_depth, min_leaf, max_features, rng)
 
 
 def fit_forest(
@@ -355,22 +339,16 @@ def fit_forest(
 
     Tree i draws from an RNG seeded by (seed, i), so results do not depend on
     build order or on ``workers``, the number of processes growing trees.
-    The columns are sorted once per forest, and the orders reach the workers
-    with X in the pool's shared tuple; each tree splits its bootstrap's
-    presorted rows and is the tree a sort at every node would grow.
+    A tree holds each drawn row once, weighted by its bootstrap count, and
+    each node sorts its rows on the features it searches.
     """
     X, y, n_classes = _check_xy(X, y, n_classes)
     if n_trees < 1:
         raise DataError("n_trees must be >= 1")
     p = X.shape[1]
     if max_features == "sqrt":
-        m = int(math.ceil(math.sqrt(p)))
-    elif max_features is None:
-        m = p
-    else:
-        m = min(max(int(max_features), 1), p)
-
-    shared = (X, y, _sorted_rows(X), n_classes, max_depth, min_leaf, m, bootstrap, seed)
+        max_features = int(math.ceil(math.sqrt(p)))
+    shared = (X, y, n_classes, max_depth, min_leaf, max_features, bootstrap, seed)
     trees = ordered_map(_forest_tree, range(n_trees), shared, workers=workers)
     return Model("forest", trees, n_classes, p)
 

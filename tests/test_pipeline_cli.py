@@ -526,6 +526,25 @@ def test_missing_input_file_exits_2(tmp_path, capsys):
     assert "preprocess" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [(b"caf\xe9", "not UTF-8 text"), (b"x" * 140_000, "field larger than field limit")],
+    ids=["latin1_byte", "oversized_field"],
+)
+def test_an_undecodable_or_malformed_csv_record_exits_2(tmp_path, capsys, cell, message):
+    data = tmp_path / "data.csv"
+    write_dataset(data)
+    line = len(data.read_bytes().splitlines()) + 1
+    with open(data, "ab") as handle:
+        handle.write(b"1.0,0.5,2.0,0.1," + cell + b",normal\n")
+    (tmp_path / "run.yaml").write_text(CONFIG_YAML, encoding="utf-8")
+    rc = cli.main(["preprocess", "--config", str(tmp_path / "run.yaml")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: preprocess: ")
+    assert f"data.csv: line {line}: {message}" in err
+
+
 def test_a_write_that_fails_midway_keeps_the_previous_file(tmp_path, monkeypatch):
     from idstats import pipeline, trees
     from idstats.atomic import atomic_open

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -155,6 +157,50 @@ def test_load_csv_refuses_a_header_that_names_a_column_twice(tmp_path):
     schema = [ColumnSchema("a", "numeric"), ColumnSchema("Label", "label")]
     with pytest.raises(DataError, match="header names column 'a' twice"):
         load_csv(path, schema)
+
+
+@pytest.mark.parametrize(
+    "cell, end, message",
+    [
+        (b"caf\xe9", b"\n", "line 3: not UTF-8 text"),
+        # csv splits lines at a bare CR too, and the named line follows it
+        (b"caf\xe9", b"\r", "line 3: not UTF-8 text"),
+        (b"x" * 140_000, b"\n", "line 3: field larger than field limit"),
+    ],
+    ids=["latin1_byte", "latin1_byte_after_cr_line_ends", "oversized_field"],
+)
+def test_load_csv_names_the_line_of_an_undecodable_or_malformed_record(
+    tmp_path, cell, end, message
+):
+    rows = [b"rate,proto,port,flag,junk,label", b"1,tcp,80,S,x,normal",
+            b"2," + cell + b",53,A,x,attack", b"3,udp,53,A,x,normal"]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(end.join(rows) + end)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+        load_csv(str(path), SCHEMA)
+
+
+def test_load_csv_peaks_below_24_bytes_a_numeric_cell(tmp_path):
+    # numeric cells go into float64 buffers, not one Python float each
+    rng = np.random.default_rng(3)
+    n_rows, n_cols = 20_000, 10
+    values = rng.normal(0.0, 1e3, (n_rows, n_cols))
+    path = tmp_path / "wide.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"c{j}" for j in range(n_cols)] + ["label"])
+        for i, row in enumerate(values.tolist()):
+            writer.writerow(row + [("normal", "attack")[i % 2]])
+    schema = [ColumnSchema(f"c{j}", "numeric") for j in range(n_cols)]
+    schema.append(ColumnSchema("label", "label"))
+    tracemalloc.start()
+    try:
+        table = load_csv(str(path), schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.matrix().tobytes() == values.tobytes()
+    assert peak < 24 * n_rows * n_cols, peak / (n_rows * n_cols)
 
 
 def load_csv_by_row_loop(path, schema):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,24 @@ def test_forest_is_order_independent_per_tree_seed():
     assert np.array_equal(predict_proba(f1, X), predict_proba(f2, X))
     f3 = fit_forest(X, y, n_trees=8, seed=5)
     assert not np.array_equal(predict_proba(f1, X), predict_proba(f3, X))
+
+
+def test_a_forest_tree_allocates_for_the_features_it_searches_not_for_all():
+    # each node sorts only its drawn features, so at a fixed max_features a
+    # tree's memory does not grow with the width of X
+    rng = np.random.default_rng(12)
+    y = rng.integers(0, 3, size=20_000)
+    wide = rng.normal(0.0, 1.0, (20_000, 32)) + 0.3 * y[:, None]
+    peaks = []
+    for p in (8, 32):
+        X = np.ascontiguousarray(wide[:, :p])
+        tracemalloc.start()
+        try:
+            fit_forest(X, y, n_trees=1, max_depth=4, max_features=3, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_majority_model_is_constant_priors():
@@ -436,13 +455,13 @@ def test_derive_seed_is_deterministic_and_path_sensitive():
     assert 0 <= derive_seed(123456789) < 2**32
 
 
-# --- the per-node-sort engine, kept as the oracle of the presorted one -----
+# --- the plain per-node-sort engine, kept as the oracle of the native one ---
 #
-# These are the split search and growers the presorted engine replaced: each
-# node argsorts every drawn feature, and a GBDT node makes two bincounts per
-# feature. They keep their nodes as dicts and number them as the engine
-# does: a split appends both children. The engine must grow bit-identical
-# trees.
+# These growers work on the expanded sample (a bootstrap row once per draw):
+# each node stably argsorts every drawn feature and sums one-hot class rows,
+# and a GBDT node makes two bincounts per feature. They keep their nodes as
+# dicts and number them as the engine does: a split appends both children.
+# The engine must grow bit-identical trees.
 
 
 def _reference_tree(nodes):
