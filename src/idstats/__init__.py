@@ -8,6 +8,8 @@ densities, and a Westfall-Young max-T permutation test with FWER-adjusted
 p-values. The ``idstats`` CLI orchestrates the stages from one config file.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .config import RunConfig, load_config
 from .density import (
@@ -84,72 +86,9 @@ from .wytest import (
     wy_maxT,
 )
 
-__all__ = [
-    "__version__",
-    "ColumnSchema",
-    "ColumnTable",
-    "ConfigError",
-    "CvReport",
-    "DataError",
-    "DataQualityWarning",
-    "DensityPair",
-    "EngineeredFeature",
-    "EvalGrid",
-    "IdstatsError",
-    "KdeModel",
-    "LabelVocabulary",
-    "ModelSpec",
-    "Observation",
-    "RfeConfig",
-    "RunConfig",
-    "WyConfig",
-    "WyTestReport",
-    "apply_encoders",
-    "confusion_matrix",
-    "correlation_matrix",
-    "cv_bandwidth",
-    "decide",
-    "dedup",
-    "derive_seed",
-    "drop_correlated",
-    "engineer_features",
-    "fit_encoders",
-    "fit_forest",
-    "fit_gbdt",
-    "fit_kde",
-    "fit_model",
-    "fit_tree",
-    "grid_search",
-    "impurity_importance",
-    "iqr_outlier_mask",
-    "js_distance",
-    "js_distance_from_masses",
-    "kde_eval",
-    "kendall_tau_b",
-    "load_csv",
-    "load_config",
-    "load_model",
-    "make_grid",
-    "model_from_dict",
-    "model_to_dict",
-    "observed_details",
-    "overlap_coefficient",
-    "overlap_intervals",
-    "pearson_corr",
-    "predict_labels",
-    "predict_proba",
-    "prf_macro",
-    "quantile",
-    "rfe",
-    "robust_fit",
-    "robust_transform",
-    "roc_auc_ovr_macro",
-    "save_model",
-    "scott_bandwidth",
-    "shape_summary",
-    "silverman_bandwidth",
-    "stratified_kfold",
-    "stratified_split",
-    "to_mass_pair",
-    "wy_maxT",
-]
+# every public name imported above; the submodules those imports bind stay out
+__all__ = ["__version__"] + sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -7,6 +7,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -28,21 +29,13 @@ STABILITY_RANGE = 0.04
 METRIC_NAMES = ("precision", "recall", "f1", "roc_auc")
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Per-row fold indices from a seeded, stratified round-robin assignment."""
-
-    k: int
-    fold_of: np.ndarray
-
-
 def stratified_kfold(
     labels: np.ndarray,
     k: int,
     seed: int,
     class_names: list[str] | None = None,
-) -> FoldAssignment:
-    """Assign rows to k folds, balancing every class across folds.
+) -> np.ndarray:
+    """Per-row fold index in 0..k-1, balancing every class across folds.
 
     Per class the rows are shuffled with the seeded RNG and dealt round-robin,
     so per-class fold sizes differ by at most 1.
@@ -71,7 +64,7 @@ def stratified_kfold(
             raise DataError(f"{name!r} has {idx.size} rows; need at least {k} for k-fold")
         shuffled = idx[rng.permutation(idx.size)]
         fold_of[shuffled] = np.arange(idx.size) % k
-    return FoldAssignment(k=k, fold_of=fold_of)
+    return fold_of
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> np.ndarray:
@@ -283,7 +276,9 @@ def _prefix(model, size_key: str, n: int):
     )
 
 
-def _fold_scores(shared: tuple, task: tuple) -> list[_FoldScores]:
+def _fold_scores(
+    X: np.ndarray, y: np.ndarray, fold_of: np.ndarray, n_classes: int, seed: int, task: tuple
+) -> list[_FoldScores]:
     """(train, test, zero divisions) of every cell of one group on one fold.
 
     ``task`` is (family, cells, fold). The cells differ at most in the
@@ -292,7 +287,6 @@ def _fold_scores(shared: tuple, task: tuple) -> list[_FoldScores]:
     cells carry an explicit one. Fit errors are re-raised annotated with the
     fold id.
     """
-    X, y, fold_of, n_classes, seed = shared
     family, cells, f = task
     size_key = _SIZE_KEY.get(family)
     params = dict(cells[0])
@@ -336,10 +330,12 @@ def _cross_validate_groups(
     depend on the worker count.
     """
     y = table.labels
-    folds = stratified_kfold(y, k, seed, class_names=list(table.vocabulary.names))
-    shared = (table.matrix(), y, folds.fold_of, table.vocabulary.n_classes, seed)
-    tasks = [(family, cells, f) for family, cells in groups for f in range(k)]
-    scores = ordered_map(_fold_scores, tasks, shared, workers=workers)
+    fold_of = stratified_kfold(y, k, seed, class_names=list(table.vocabulary.names))
+    scores = ordered_map(
+        partial(_fold_scores, table.matrix(), y, fold_of, table.vocabulary.n_classes, seed),
+        [(family, cells, f) for family, cells in groups for f in range(k)],
+        workers=workers,
+    )
     reports = []
     for g, (_, cells) in enumerate(groups):
         by_fold = scores[g * k : (g + 1) * k]

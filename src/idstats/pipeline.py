@@ -444,11 +444,6 @@ def run_cv(cfg: RunConfig) -> dict:
 # density
 
 
-def _density_summary(shared: tuple, feature: str):
-    table, policy, grid_size, seed = shared
-    return shape_summary(table, feature, policy=policy, n_points=grid_size, seed=seed)
-
-
 def run_density(cfg: RunConfig) -> dict:
     """Per-feature, per-class shape summaries and KDE curves on shared grids.
 
@@ -460,8 +455,14 @@ def run_density(cfg: RunConfig) -> dict:
     seed = derive_seed(cfg.seed, _DENSITY_TAG)
     plot_dir = cfg.output / "plotdata"
 
-    shared = (art.train, cfg.density.policy, cfg.density.grid_size, seed)
-    computed = ordered_map(_density_summary, features, shared, workers=cfg.threads)
+    computed = ordered_map(
+        lambda feature: shape_summary(
+            art.train, feature, policy=cfg.density.policy,
+            n_points=cfg.density.grid_size, seed=seed,
+        ),
+        features,
+        workers=cfg.threads,
+    )
     summaries = {}
     for feature, summary in zip(features, computed):
         file_name = f"density_{_safe_name(feature)}.csv"

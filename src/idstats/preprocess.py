@@ -3,6 +3,7 @@ measures (Pearson, Kendall tau-b), and correlation-threshold feature dropping.""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -66,7 +67,7 @@ class EngineeredFeature:
     Attributes:
         source: name of the input column.
         transform: "power" or "reciprocal".
-        exponent: power-transform exponent; ignored for reciprocal.
+        exponent: finite power-transform exponent; ignored for reciprocal.
     """
 
     source: str
@@ -76,8 +77,10 @@ class EngineeredFeature:
     def __post_init__(self) -> None:
         if self.transform not in ("power", "reciprocal"):
             raise DataError(f"unknown transform {self.transform!r}")
-        if self.transform == "power" and self.exponent is None:
-            raise DataError("power transform needs an exponent")
+        if self.transform == "power" and (
+            self.exponent is None or not math.isfinite(self.exponent)
+        ):
+            raise DataError(f"power transform needs a finite exponent, got {self.exponent}")
 
     @property
     def output_name(self) -> str:
@@ -226,11 +229,6 @@ class CorrelationMatrix:
         return float(self.values[self.names.index(a), self.names.index(b)])
 
 
-def _kendall_pair(cols: list[np.ndarray], pair: tuple[int, int]) -> float:
-    i, j = pair
-    return kendall_tau_b(cols[i], cols[j])
-
-
 def correlation_matrix(
     t: ColumnTable, method: str, names: list[str] | None = None, workers: int = 1
 ) -> CorrelationMatrix:
@@ -248,7 +246,9 @@ def correlation_matrix(
     if method == "pearson":
         coefficients = [pearson_corr(cols[i], cols[j]) for i, j in pairs]
     else:
-        coefficients = ordered_map(_kendall_pair, pairs, cols, workers=workers)
+        coefficients = ordered_map(
+            lambda pair: kendall_tau_b(cols[pair[0]], cols[pair[1]]), pairs, workers=workers
+        )
     values = np.eye(p)
     for (i, j), coefficient in zip(pairs, coefficients):
         values[i, j] = values[j, i] = coefficient

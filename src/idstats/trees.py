@@ -312,17 +312,6 @@ def _leaves(tree: Tree, X: np.ndarray) -> np.ndarray:
     return node
 
 
-def _forest_tree(shared: tuple, i: int) -> Tree:
-    """Tree i of a forest: its bootstrap and feature draws come from (seed, i)."""
-    X, y, n_classes, max_depth, min_leaf, max_features, bootstrap, seed = shared
-    n = X.shape[0]
-    rng = np.random.default_rng([seed, i])
-    drawn = np.ones(n)
-    if bootstrap:
-        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-    return _grow_tree(X, y, drawn, n_classes, max_depth, min_leaf, max_features, rng)
-
-
 def fit_forest(
     X: np.ndarray,
     y: np.ndarray,
@@ -345,11 +334,18 @@ def fit_forest(
     X, y, n_classes = _check_xy(X, y, n_classes)
     if n_trees < 1:
         raise DataError("n_trees must be >= 1")
-    p = X.shape[1]
+    n, p = X.shape
     if max_features == "sqrt":
         max_features = int(math.ceil(math.sqrt(p)))
-    shared = (X, y, n_classes, max_depth, min_leaf, max_features, bootstrap, seed)
-    trees = ordered_map(_forest_tree, range(n_trees), shared, workers=workers)
+
+    def tree(i: int) -> Tree:
+        rng = np.random.default_rng([seed, i])
+        drawn = np.ones(n)
+        if bootstrap:
+            drawn = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
+        return _grow_tree(X, y, drawn, n_classes, max_depth, min_leaf, max_features, rng)
+
+    trees = ordered_map(tree, range(n_trees), workers=workers)
     return Model("forest", trees, n_classes, p)
 
 

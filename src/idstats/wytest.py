@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -169,8 +170,9 @@ def class_pair_columns(
     return pooled, n_a, n_b
 
 
-def _observed_feature(shared: tuple, i: int) -> ObservedFeature:
-    pooled, n_a, features, cfg, seed = shared
+def _observed_feature(
+    pooled: np.ndarray, n_a: int, features: list[str], cfg: WyConfig, seed: int, i: int
+) -> ObservedFeature:
     values = pooled[i]
     if np.all(values == values[0]):
         warnings.warn(
@@ -210,19 +212,17 @@ def observed_details(
         raise DataError("the permutation test needs at least one feature")
     pooled, n_a, _ = class_pair_columns(table, features, cfg)
     details = ordered_map(
-        _observed_feature, range(len(features)), (pooled, n_a, features, cfg, seed),
+        partial(_observed_feature, pooled, n_a, features, cfg, seed),
+        range(len(features)),
         workers=workers,
     )
     return Observation(cfg, seed, pooled, n_a, tuple(details))
 
 
-def _permutation_rows(shared: tuple, b_values: list[int]) -> np.ndarray:
-    """T_{i,b} for every feature i and each b in b_values (rows are b).
-
-    ``shared`` is (pooled, n_a, cfg, seed): the pooled class-pair matrix,
-    the class-a row count, the test configuration and the master seed.
-    """
-    pooled, n_a, cfg, seed = shared
+def _permutation_rows(observed: Observation, b_values: list[int]) -> np.ndarray:
+    """T_{i,b} for every feature i and each b in b_values (rows are b), with
+    the observation's settings and master seed."""
+    pooled, n_a, cfg, seed = observed.pooled, observed.n_a, observed.cfg, observed.seed
     n = pooled.shape[1]
     out = np.empty((len(b_values), pooled.shape[0]), dtype=np.float64)
     with warnings.catch_warnings():
@@ -254,10 +254,7 @@ def wy_maxT(observed: Observation, workers: int = 1) -> WyTestReport:
     b_values = list(range(1, cfg.permutations + 1))
     chunk_size = max(1, -(-cfg.permutations // (max(workers, 1) * 4)))
     chunks = [b_values[i : i + chunk_size] for i in range(0, len(b_values), chunk_size)]
-    parts = ordered_map(
-        _permutation_rows, chunks, (observed.pooled, observed.n_a, cfg, observed.seed),
-        workers=workers,
-    )
+    parts = ordered_map(partial(_permutation_rows, observed), chunks, workers=workers)
     stat_rows = np.vstack(parts)
 
     trace = stat_rows.max(axis=1)

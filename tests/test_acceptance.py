@@ -164,7 +164,7 @@ def _split_and_fold_invariants() -> None:
     train, test = stratified_split(table, 0.2, seed=3)
     assert train.n_rows + test.n_rows == 100
     assert np.bincount(test.labels, minlength=3).tolist() == [12, 6, 2]
-    fold_of = stratified_kfold(labels, k=5, seed=0).fold_of
+    fold_of = stratified_kfold(labels, k=5, seed=0)
     assert set(fold_of.tolist()) == set(range(5))
     for c in range(3):
         per_fold = [int(np.sum(labels[fold_of == f] == c)) for f in range(5)]

@@ -126,6 +126,20 @@ def test_wy_and_density_values_are_rejected_at_parse_time(section, key, bad, mes
         parse_config(doc(**{section: {key: bad}}))
 
 
+@pytest.mark.parametrize("exponent", [".nan", ".inf", "-.inf"])
+def test_a_non_finite_power_exponent_is_rejected_at_parse_time(exponent):
+    text = f"""
+input: flows.csv
+schema: {{x: numeric, y: label}}
+preprocess:
+  engineered:
+    - {{source: x, transform: power, exponent: {exponent}}}
+"""
+    message = "config.preprocess.engineered[0]: power transform needs a finite exponent"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(yaml.safe_load(text))
+
+
 @pytest.mark.parametrize(
     "section, values, where",
     [

@@ -33,11 +33,11 @@ def blob_table(n_per=60, shift=3.0, seed=0, classes=("a", "b")):
 
 def test_stratified_kfold_partitions_and_balances():
     labels = np.repeat([0, 1, 2], [50, 30, 20])
-    fa = stratified_kfold(labels, k=10, seed=4)
-    assert fa.fold_of.shape == (100,)
-    assert set(fa.fold_of.tolist()) == set(range(10))
+    fold_of = stratified_kfold(labels, k=10, seed=4)
+    assert fold_of.shape == (100,)
+    assert set(fold_of.tolist()) == set(range(10))
     for f in range(10):
-        in_fold = labels[fa.fold_of == f]
+        in_fold = labels[fold_of == f]
         # every fold holds n_c/k rows of each class when divisible
         assert np.bincount(in_fold, minlength=3).tolist() == [5, 3, 2]
 
@@ -46,9 +46,9 @@ def test_stratified_kfold_balance_within_one_on_uneven_classes():
     rng = np.random.default_rng(8)
     labels = rng.integers(0, 3, size=157)
     k = 5
-    fa = stratified_kfold(labels, k=k, seed=0)
+    fold_of = stratified_kfold(labels, k=k, seed=0)
     for c in range(3):
-        per_fold = [np.sum(labels[fa.fold_of == f] == c) for f in range(k)]
+        per_fold = [np.sum(labels[fold_of == f] == c) for f in range(k)]
         assert max(per_fold) - min(per_fold) <= 1
 
 
@@ -57,8 +57,8 @@ def test_stratified_kfold_is_seeded():
     a = stratified_kfold(labels, k=4, seed=1)
     b = stratified_kfold(labels, k=4, seed=1)
     c = stratified_kfold(labels, k=4, seed=2)
-    assert np.array_equal(a.fold_of, b.fold_of)
-    assert not np.array_equal(a.fold_of, c.fold_of)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_stratified_kfold_rejects_bad_inputs():

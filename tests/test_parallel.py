@@ -4,8 +4,11 @@ count, and no pool inside a pool."""
 from __future__ import annotations
 
 import os
+import pickle
+import threading
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,24 +28,47 @@ def three_blobs(n_per=40, shift=1.5, seed=0):
     return ColumnTable(columns, labels, LabelVocabulary(names=("a", "b", "c")))
 
 
-def _scaled(shared, task):
-    return (shared * task, parallel._in_worker)
+def _scaled(factor, task):
+    return (factor * task, parallel._in_worker)
 
 
 def test_ordered_map_keeps_task_order():
     tasks = [1, 5, 2, 4, 3]
     expected = [(10 * t, False) for t in tasks]
-    assert parallel.ordered_map(_scaled, tasks, 10) == expected
-    pooled = parallel.ordered_map(_scaled, tasks, 10, workers=3)
+    assert parallel.ordered_map(partial(_scaled, 10), tasks) == expected
+    pooled = parallel.ordered_map(partial(_scaled, 10), tasks, workers=3)
     assert [value for value, _ in pooled] == [10 * t for t in tasks]
     assert all(in_worker for _, in_worker in pooled)
 
 
 def test_ordered_map_runs_a_single_task_in_process():
-    assert parallel.ordered_map(_scaled, [3], 2, workers=2) == [(6, False)]
+    assert parallel.ordered_map(partial(_scaled, 2), [3], workers=2) == [(6, False)]
 
 
-def _fail_on_odd(shared, task):
+def test_ordered_map_takes_the_worker_count_by_keyword_only():
+    # a third positional argument is neither a worker count nor passed to fn
+    with pytest.raises(TypeError, match="positional argument"):
+        parallel.ordered_map(max, [1, 2], 2)
+
+
+def test_ordered_map_pickles_tasks_and_results_but_not_the_function():
+    lock = threading.Lock()  # refuses to pickle
+    with pytest.raises(TypeError):
+        pickle.dumps(lock)
+
+    def locked_square(task):
+        with lock:
+            return task * task, parallel._in_worker
+
+    tasks = [4, 1, 3, 2]
+    serial = parallel.ordered_map(locked_square, tasks)
+    pooled = parallel.ordered_map(locked_square, tasks, workers=2)
+    assert [value for value, _ in pooled] == [value for value, _ in serial] == [16, 1, 9, 4]
+    assert not any(in_worker for _, in_worker in serial)
+    assert all(in_worker for _, in_worker in pooled)
+
+
+def _fail_on_odd(task):
     if task % 2:
         raise DataError(f"task {task} failed")
     return task
@@ -53,7 +79,7 @@ def test_ordered_map_reraises_a_worker_error():
         parallel.ordered_map(_fail_on_odd, [0, 1, 2], workers=2)
 
 
-def _exit_on_two(shared, task):
+def _exit_on_two(task):
     if task == 2:
         os._exit(1)
     return task
@@ -64,7 +90,7 @@ def test_ordered_map_raises_when_a_worker_dies():
         parallel.ordered_map(_exit_on_two, [0, 1, 2, 3], workers=2)
 
 
-def _warn_twice(shared, task):
+def _warn_twice(task):
     warnings.warn(f"task {task} first", DataQualityWarning)
     warnings.warn(f"task {task} second", UserWarning)
     return task
@@ -103,8 +129,7 @@ class _NoPools:
         raise AssertionError("a pool worker tried to start a nested pool")
 
 
-def _forest_in_worker(shared, seed):
-    X, y = shared
+def _forest_in_worker(X, y, seed):
     parallel.multiprocessing = _NoPools()  # this worker's copy only
     forest = fit_forest(X, y, n_trees=4, max_depth=4, seed=seed, workers=2)
     return parallel._in_worker, model_to_dict(forest)
@@ -113,7 +138,7 @@ def _forest_in_worker(shared, seed):
 def test_fit_forest_inside_a_pooled_task_runs_serially_with_the_same_trees():
     table = three_blobs(seed=1)
     X, y = table.matrix(), table.labels
-    results = parallel.ordered_map(_forest_in_worker, [3, 8], (X, y), workers=2)
+    results = parallel.ordered_map(partial(_forest_in_worker, X, y), [3, 8], workers=2)
     for seed, (in_worker, doc) in zip([3, 8], results):
         assert in_worker
         serial = fit_forest(X, y, n_trees=4, max_depth=4, seed=seed)
