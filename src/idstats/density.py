@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DataQualityWarning
-from .preprocess import iqr_outlier_mask, quantile
+from .preprocess import quartiles
 from .tabular import ColumnTable
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -104,7 +104,8 @@ def silverman_bandwidth(x: np.ndarray) -> float:
     x = _checked_sample(x, "silverman_bandwidth")
     if x.size < 2:
         return _degenerate(x, "silverman_bandwidth: single sample")
-    spread = min(_sample_std(x), (quantile(x, 0.75) - quantile(x, 0.25)) / 1.34)
+    q1, _, q3 = quartiles(x)
+    spread = min(_sample_std(x), (q3 - q1) / 1.34)
     if spread <= 0.0:
         return _degenerate(x, "silverman_bandwidth: zero sample spread")
     return 0.9 * spread * x.size ** (-0.2)
@@ -587,16 +588,19 @@ def shape_summary(
     shapes = []
     for name, x, h in per_class:
         model = KdeModel(x, h)
+        q1, median, q3 = quartiles(x)
+        # outliers as iqr_outlier_mask flags them, from the same quartiles
+        fence = 1.5 * (q3 - q1)
         shapes.append(
             ClassShape(
                 class_name=name,
                 count=int(x.size),
                 minimum=float(x.min()),
-                q1=quantile(x, 0.25),
-                median=quantile(x, 0.5),
-                q3=quantile(x, 0.75),
+                q1=q1,
+                median=median,
+                q3=q3,
                 maximum=float(x.max()),
-                outliers=int(iqr_outlier_mask(x).sum()),
+                outliers=int(np.count_nonzero((x < q1 - fence) | (x > q3 + fence))),
                 bandwidth=h,
                 density=grid_density(model, grid),
             )

@@ -145,6 +145,7 @@ def run_preprocess(cfg: RunConfig) -> dict:
     train, test = stratified_split(
         table, opts.test_fraction, derive_seed(cfg.seed, _SPLIT_TAG)
     )
+    del table  # the split holds every row the stage still needs
     encoders = fit_encoders(train, schema)
     train = apply_encoders(train, encoders)
     test = apply_encoders(test, encoders)

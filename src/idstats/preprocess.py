@@ -26,6 +26,12 @@ def quantile(x: np.ndarray, q: float) -> float:
     return float(np.quantile(x, q))
 
 
+def quartiles(x: np.ndarray) -> tuple[float, float, float]:
+    """Q1, median and Q3 of a non-empty vector, as ``quantile`` gives each,
+    from one partition."""
+    return tuple(np.quantile(x, (0.25, 0.5, 0.75)).tolist())
+
+
 @dataclass(frozen=True)
 class RobustScalerState:
     """Median and IQR of one training column, in the column's units."""
@@ -39,8 +45,8 @@ def robust_fit(x: np.ndarray) -> RobustScalerState:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise DataError("robust_fit on an empty vector")
-    q1, q3 = quantile(x, 0.25), quantile(x, 0.75)
-    return RobustScalerState(median=quantile(x, 0.5), iqr=q3 - q1)
+    q1, median, q3 = quartiles(x)
+    return RobustScalerState(median=median, iqr=q3 - q1)
 
 
 def robust_transform(x: np.ndarray, state: RobustScalerState) -> np.ndarray:
@@ -55,7 +61,7 @@ def iqr_outlier_mask(x: np.ndarray, k: float = 1.5) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise DataError("iqr_outlier_mask on an empty vector")
-    q1, q3 = quantile(x, 0.25), quantile(x, 0.75)
+    q1, _, q3 = quartiles(x)
     spread = q3 - q1
     return (x < q1 - k * spread) | (x > q3 + k * spread)
 
@@ -123,8 +129,9 @@ def pearson_corr(x: np.ndarray, y: np.ndarray) -> float:
         raise DataError("pearson_corr needs two equal-length vectors, n >= 2")
     dx = x - x.mean()
     dy = y - y.mean()
-    sx = np.sqrt(np.dot(dx, dx))
-    sy = np.sqrt(np.dot(dy, dy))
+    # einsum sums in its own loop: a threaded BLAS dot can cost 1000x as much
+    sx = np.sqrt(np.einsum("i,i->", dx, dx))
+    sy = np.sqrt(np.einsum("i,i->", dy, dy))
     if sx == 0.0 or sy == 0.0:
         warnings.warn(
             "pearson_corr: zero-variance input, returning 0.0",
@@ -132,7 +139,7 @@ def pearson_corr(x: np.ndarray, y: np.ndarray) -> float:
             stacklevel=2,
         )
         return 0.0
-    return float(np.clip(np.dot(dx, dy) / (sx * sy), -1.0, 1.0))
+    return float(np.clip(np.einsum("i,i->", dx, dy) / (sx * sy), -1.0, 1.0))
 
 
 def _bitwise_inversions(ranks: np.ndarray) -> int:
@@ -165,35 +172,53 @@ def _bitwise_inversions(ranks: np.ndarray) -> int:
     return total
 
 
-def kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
+@dataclass(frozen=True)
+class Ranked:
+    """A finite column's dense ranks, distinct values and tied pairs, and the
+    row order that sorts it when it has no ties."""
+
+    ranks: np.ndarray
+    distinct: int
+    tied_pairs: int
+    order: np.ndarray | None
+
+
+def rank_column(x: np.ndarray) -> Ranked:
+    """Rank a finite vector once, for any number of kendall_tau_b calls."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise DataError("kendall_tau_b needs finite values")
+    _, ranks, counts = np.unique(x, return_inverse=True, return_counts=True)
+    order = None
+    if counts.size == x.size:
+        order = np.empty_like(ranks)
+        order[ranks] = np.arange(x.size)
+    return Ranked(ranks, counts.size, int(np.sum(counts * (counts - 1) // 2)), order)
+
+
+def kendall_tau_b(x: np.ndarray | Ranked, y: np.ndarray | Ranked) -> float:
     """Kendall's tau-b with tie correction in O(n log n).
 
-    Each vector becomes dense integer ranks (``np.unique``), whose group
-    sizes give the x- and y-tie pair counts. The pairs are sorted by the one
-    integer key rx·(max ry + 1) + ry, so equal keys are joint ties, and the
-    strict inversions of the y ranks in that order are the discordant pairs;
-    ``_bitwise_inversions`` counts them one bit at a time. Matches the O(n²)
-    pair-enumeration definition exactly; ``0.0`` and ``-0.0`` are one value.
+    Each vector is ranked (``rank_column``) unless it is ``Ranked``. The
+    pairs are sorted by the ranks of the column with more distinct values,
+    then by the other's, so equal keys are joint ties (none, and no sort, when
+    the first is tie-free); the other's strict inversions in that order,
+    counted by ``_bitwise_inversions``, are the discordant pairs. Matches the
+    O(n²) pair-enumeration definition exactly, in either argument order;
+    ``0.0`` and ``-0.0`` are one value.
 
     Args:
-        x, y: equal-length finite vectors, n >= 2.
+        x, y: equal-length finite vectors, n >= 2, or their ``Ranked`` forms.
 
     Returns:
         tau-b in [−1, 1]; 0.0 with a warning when either vector is constant.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.size < 2:
+    rx, ry = (v if isinstance(v, Ranked) else rank_column(v) for v in (x, y))
+    n = rx.ranks.size
+    if rx.ranks.shape != ry.ranks.shape or n < 2:
         raise DataError("kendall_tau_b needs two equal-length vectors, n >= 2")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise DataError("kendall_tau_b needs finite values")
-    n = x.size
-    _, rx, x_counts = np.unique(x, return_inverse=True, return_counts=True)
-    _, ry, y_counts = np.unique(y, return_inverse=True, return_counts=True)
-
     n0 = n * (n - 1) // 2
-    n1 = int(np.sum(x_counts * (x_counts - 1) // 2))
-    n2 = int(np.sum(y_counts * (y_counts - 1) // 2))
+    n1, n2 = rx.tied_pairs, ry.tied_pairs
     if n1 == n0 or n2 == n0:
         warnings.warn(
             "kendall_tau_b: constant input, returning 0.0",
@@ -201,16 +226,21 @@ def kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float:
             stacklevel=2,
         )
         return 0.0
-    # equal keys have equal y, so no stable sort is needed
-    key = rx * y_counts.size + ry
-    order = np.argsort(key)
-    sorted_key = key[order]
-    # joint-tie pairs: runs of equal keys
-    run_ends = np.flatnonzero(np.append(sorted_key[1:] != sorted_key[:-1], True))
-    run_lengths = np.diff(run_ends, prepend=-1)
-    n3 = int(np.sum(run_lengths * (run_lengths - 1) // 2))
+    # the inversions are counted on the column with fewer bits
+    lead, other = (rx, ry) if rx.distinct >= ry.distinct else (ry, rx)
+    if lead.order is not None:
+        order, n3 = lead.order, 0
+    else:
+        # equal keys have equal ranks in other, so no stable sort is needed
+        key = lead.ranks * other.distinct + other.ranks
+        order = np.argsort(key)
+        sorted_key = key[order]
+        # joint-tie pairs: runs of equal keys
+        run_ends = np.flatnonzero(np.append(sorted_key[1:] != sorted_key[:-1], True))
+        run_lengths = np.diff(run_ends, prepend=-1)
+        n3 = int(np.sum(run_lengths * (run_lengths - 1) // 2))
 
-    n_disc = _bitwise_inversions(ry[order])
+    n_disc = _bitwise_inversions(other.ranks[order])
     # concordant − discordant = untied pairs − 2·discordant
     num = (n0 - n1 - n2 + n3) - 2 * n_disc
     denom = np.sqrt(float(n0 - n1) * float(n0 - n2))
@@ -234,8 +264,8 @@ def correlation_matrix(
 ) -> CorrelationMatrix:
     """Pairwise Pearson or Kendall matrix over the named numeric columns.
 
-    The Kendall pairs run on ``workers`` processes; the matrix does not
-    depend on it.
+    For Kendall each column is ranked once, and the pairs run on ``workers``
+    processes; the matrix does not depend on it.
     """
     if method not in ("pearson", "kendall"):
         raise DataError(f"unknown correlation method {method!r}")
@@ -246,8 +276,9 @@ def correlation_matrix(
     if method == "pearson":
         coefficients = [pearson_corr(cols[i], cols[j]) for i, j in pairs]
     else:
+        ranked = [rank_column(col) for col in cols] if pairs else []
         coefficients = ordered_map(
-            lambda pair: kendall_tau_b(cols[pair[0]], cols[pair[1]]), pairs, workers=workers
+            lambda pair: kendall_tau_b(ranked[pair[0]], ranked[pair[1]]), pairs, workers=workers
         )
     values = np.eye(p)
     for (i, j), coefficient in zip(pairs, coefficients):

@@ -10,6 +10,7 @@ import warnings
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -20,6 +21,9 @@ ENCODINGS = ("frequency", "dummy", "integer-label")
 
 # Code for categories never seen while fitting an integer-label encoder.
 UNSEEN_INTEGER_CODE = -1.0
+
+# Rows converted at once, a column at a time: a block's cells as Python strings
+_BLOCK_ROWS = 1 << 9
 
 
 @dataclass(frozen=True)
@@ -183,17 +187,54 @@ class ColumnTable:
         return np.bincount(self.labels, minlength=self.vocabulary.n_classes)
 
 
-def _parse_float(text: str) -> float | None:
+def _parse_float(text: str) -> float:
+    """A CSV cell's number, or NaN when it holds none."""
     # float() refuses \x1c-\x1f padding, which str.strip() removes; it takes
     # Python literal spellings no CSV number has: 1_000 and non-ASCII digits
     text = text.strip()
     if not text.isascii() or "_" in text:
-        return None
+        return math.nan
     try:
         value = float(text)
     except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
+def _numeric_column(cells: tuple[str, ...]) -> np.ndarray:
+    """A block column as float64, NaN where a cell is not a number."""
+    text = "".join(cells)
+    if text.isascii() and not any(c in text for c in "_\x1c\x1d\x1e\x1f"):
+        # on such text float() skips exactly the whitespace str.strip() removes
+        try:
+            return np.fromiter(map(float, cells), np.float64, len(cells))
+        except ValueError:
+            pass
+    return np.fromiter(map(_parse_float, cells), np.float64, len(cells))
+
+
+def _append_block(block: list[list[str]], kept, buffers, label_pos: int, labels: list) -> int:
+    """Append the rows of a block of full-width records that have no unusable
+    cell to the column buffers and labels; returns how many rows had one."""
+    columns = list(zip(*block))
+    ok = np.ones(len(block), dtype=bool)
+    converted = []
+    for i, spec in kept:
+        if spec.role == "numeric":
+            converted.append(_numeric_column(columns[i]))
+            ok &= np.isfinite(converted[-1])
+        else:
+            # a text is interned, so each distinct one is stored once
+            converted.append([sys.intern(cell.strip()) for cell in columns[i]])
+            ok &= np.fromiter(map(bool, converted[-1]), bool, len(block))
+    keep = ok.tolist()
+    for buffer, values in zip(buffers, converted):
+        if isinstance(buffer, array):
+            buffer.frombytes(values[ok].tobytes())
+        else:
+            buffer.extend(compress(values, keep))
+    labels.extend(compress(map(sys.intern, map(str.strip, columns[label_pos])), keep))
+    return len(keep) - sum(keep)
 
 
 def _checked(reader, path: str) -> Iterator[list[str]]:
@@ -217,7 +258,8 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
     a name given twice, a byte that is not UTF-8 and a record the csv module
     refuses are DataErrors. Rows with missing or unparseable values in any
     non-drop column are removed and counted in ``meta["dropped_rows"]`` with
-    a warning; an unusable label value is fatal.
+    a warning; an unusable label value is fatal. Cells are converted a block
+    column at a time; a cell is a number when ``_parse_float`` reads one.
 
     Args:
         path: CSV file with one header row.
@@ -254,30 +296,25 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> ColumnTable:
         specs = [by_name[h] for h in header]
         label_pos = next(i for i, s in enumerate(specs) if s.role == "label")
         kept = [(i, s) for i, s in enumerate(specs) if s.role in ("numeric", "categorical")]
-        # numeric cells go straight into float64 buffers
+        # numeric block columns go straight into float64 buffers
         buffers = [array("d") if s.role == "numeric" else [] for _, s in kept]
         raw_labels: list[str] = []
         dropped = 0
+        width = len(header)
+        block: list[list[str]] = []
         for row in records:
-            if len(row) != len(header):
+            if len(row) != width:
                 dropped += 1
                 continue
-            # a text is interned, so each distinct one is stored once
-            label = sys.intern(row[label_pos].strip())
-            if not label:
+            # checked here, so the first defect in file order is the one raised
+            if not row[label_pos].strip():
                 raise DataError(f"{path}: line {reader.line_num}: empty label value")
-            # None marks a cell that drops the row
-            cells = [
-                _parse_float(row[i]) if spec.role == "numeric"
-                else sys.intern(row[i].strip()) or None
-                for i, spec in kept
-            ]
-            if None in cells:
-                dropped += 1
-                continue
-            for values, cell in zip(buffers, cells):
-                values.append(cell)
-            raw_labels.append(label)
+            block.append(row)
+            if len(block) == _BLOCK_ROWS:
+                dropped += _append_block(block, kept, buffers, label_pos, raw_labels)
+                block = []
+        if block:
+            dropped += _append_block(block, kept, buffers, label_pos, raw_labels)
 
     if not raw_labels:
         raise DataError(f"{path}: no usable data rows")

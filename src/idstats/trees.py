@@ -765,7 +765,9 @@ def rfe(
     current = list(range(X.shape[1]))
     trace: list[RfeRound] = []
     while True:
-        model = fit_model(spec, X[:, current], y, n_classes=n_classes, workers=workers)
+        # X itself until a column goes: X[:, current] is F-ordered, copied again
+        kept = X if len(current) == X.shape[1] else X.take(current, axis=1)
+        model = fit_model(spec, kept, y, n_classes=n_classes, workers=workers)
         imp = impurity_importance(model)
         snapshot = {names[c]: float(v) for c, v in zip(current, imp)}
         if len(current) == 1 or float(imp.min()) >= cfg.keep_threshold:

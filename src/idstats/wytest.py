@@ -174,12 +174,6 @@ def _observed_feature(
     pooled: np.ndarray, n_a: int, features: list[str], cfg: WyConfig, seed: int, i: int
 ) -> ObservedFeature:
     values = pooled[i]
-    if np.all(values == values[0]):
-        warnings.warn(
-            f"feature {features[i]!r} is constant in both classes; statistic is 0",
-            DataQualityWarning,
-            stacklevel=2,
-        )
     stat, h_a, h_b, pair = _pair_statistic(
         values[:n_a], values[n_a:], cfg, seed, b=0, feature_index=i
     )
@@ -211,6 +205,14 @@ def observed_details(
     if not features:
         raise DataError("the permutation test needs at least one feature")
     pooled, n_a, _ = class_pair_columns(table, features, cfg)
+    # warned here, before the pool, so the warning names the caller
+    for feature, values in zip(features, pooled):
+        if np.all(values == values[0]):
+            warnings.warn(
+                f"feature {feature!r} is constant in both classes; statistic is 0",
+                DataQualityWarning,
+                stacklevel=2,
+            )
     details = ordered_map(
         partial(_observed_feature, pooled, n_a, features, cfg, seed),
         range(len(features)),

@@ -117,3 +117,31 @@ def test_a_traced_wy_run_keeps_the_observed_and_permutation_spans_apart(
         tracer.undo()
     assert len(tracer.named("wytest.observed")) == 1
     assert len(tracer.named("wytest.perm_loop")) == 1
+
+
+def test_a_traced_preprocess_run_sees_one_kendall_span_per_pair(tracing, tmp_path):
+    # the columns are ranked once, but each pair still makes its own call
+    rng = np.random.default_rng(4)
+    names = ["a", "b", "c", "d", "e"]
+    rows = [",".join(names + ["label"])] + [
+        ",".join(f"{v:.6f}" for v in rng.normal(size=len(names))) + f",{label}"
+        for label in ("attack", "normal")
+        for _ in range(60)
+    ]
+    (tmp_path / "flows.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    cfg = parse_config(
+        {
+            "input": str(tmp_path / "flows.csv"),
+            "output": str(tmp_path / "out"),
+            "schema": dict.fromkeys(names, "numeric") | {"label": "label"},
+            "preprocess": {"rfe": {"n_trees": 3, "keep_threshold": 0.0}},
+        }
+    )
+    tracer = tracing.Tracer()
+    tracing.install_layers(tracer)
+    try:
+        pipeline.run_stage(cfg, "preprocess")
+    finally:
+        tracer.undo()
+    assert len(tracer.named("preprocess.drop_correlated")) == 1
+    assert len(tracer.named("preprocess.kendall")) == len(names) * (len(names) - 1) // 2

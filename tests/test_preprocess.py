@@ -20,6 +20,8 @@ from idstats.preprocess import (
     kendall_tau_b,
     pearson_corr,
     quantile,
+    quartiles,
+    rank_column,
     robust_fit,
     robust_transform,
 )
@@ -106,6 +108,14 @@ def test_quantile_uses_linear_interpolation():
     assert quantile(x, 0.75) == 4.0
     # h = q(n-1): q=0.1 on [1..5] -> 1 + 0.4
     assert quantile(x, 0.1) == pytest.approx(1.4)
+
+
+def test_quartiles_equal_the_three_scalar_quantiles_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 3, 4, 5, 7, 100, 1001):
+        for x in (rng.normal(size=n), rng.integers(0, 4, size=n) * 0.1, np.full(n, -0.0)):
+            expected = [quantile(x, q) for q in (0.25, 0.5, 0.75)]
+            assert np.array(quartiles(x)).tobytes() == np.array(expected).tobytes()
 
 
 def test_robust_scaler_fixed_vector():
@@ -228,6 +238,15 @@ def test_pearson_known_values_and_degenerate_input():
         assert pearson_corr(np.ones(5), np.arange(5.0)) == 0.0
     with pytest.raises(DataError):
         pearson_corr(np.ones(3), np.ones(4))
+
+
+def test_pearson_matches_scipy_at_bench_size():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(4)
+    x = rng.lognormal(size=24_000)
+    for y in (0.3 * x + rng.normal(size=x.size), rng.normal(size=x.size), -x):
+        expected = stats.pearsonr(x, y).statistic
+        assert pearson_corr(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_kendall_matches_pairwise_oracle_with_ties():
@@ -393,6 +412,47 @@ def test_kendall_counts_signed_zeros_as_one_tie():
     y = np.array([3.0, 1.0, 2.0, 0.0, 4.0])
     assert kendall_tau_b(x, y) == kendall_by_pairs(np.abs(x), y)
     assert kendall_tau_b(x, y) == kendall_tau_b(np.abs(x), y)
+
+
+KENDALL_COLUMNS = {
+    "tie_free": np.random.default_rng(5).normal(size=700),
+    "tie_free_too": np.random.default_rng(6).normal(size=700),
+    "tied": np.round(np.random.default_rng(7).normal(size=700), 1),
+    "two_valued": (np.random.default_rng(8).random(700) < 0.3).astype(np.float64),
+}
+
+
+@pytest.mark.parametrize("a", sorted(KENDALL_COLUMNS))
+@pytest.mark.parametrize("b", sorted(KENDALL_COLUMNS))
+def test_kendall_is_symmetric_and_takes_ranked_columns_bit_for_bit(a, b):
+    x, y = KENDALL_COLUMNS[a], KENDALL_COLUMNS[b]
+    tau = kendall_tau_b(x, y)
+    assert tau == kendall_by_merge_count(x, y)
+    for got in (
+        kendall_tau_b(y, x),
+        kendall_tau_b(rank_column(x), rank_column(y)),
+        kendall_tau_b(rank_column(x), y),
+        kendall_tau_b(rank_column(y), rank_column(x)),
+    ):
+        assert np.float64(got).tobytes() == np.float64(tau).tobytes()
+
+
+def test_rank_column_keeps_the_sorting_order_of_a_tie_free_column_only():
+    x = np.array([0.5, -1.0, 3.0, 0.0, -0.0])
+    ranked = rank_column(x)
+    assert ranked.ranks.tolist() == [2, 0, 3, 1, 1]
+    assert (ranked.distinct, ranked.tied_pairs, ranked.order) == (4, 1, None)
+    tie_free = rank_column(x[:4])
+    assert tie_free.order.tolist() == np.argsort(x[:4]).tolist()
+    assert tie_free.tied_pairs == 0
+
+
+def test_a_constant_ranked_column_still_warns():
+    x = np.arange(10.0)
+    for flat in (np.ones(10), rank_column(np.ones(10))):
+        for pair in ((flat, x), (x, flat), (flat, rank_column(x))):
+            with pytest.warns(DataQualityWarning, match="constant input"):
+                assert kendall_tau_b(*pair) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

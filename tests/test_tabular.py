@@ -253,6 +253,39 @@ DROPS = [
     ColumnSchema("more_junk", "drop"),
     ColumnSchema("label", "label"),
 ]
+TWO_NUMERIC = [
+    ColumnSchema("a", "numeric"),
+    ColumnSchema("b", "numeric"),
+    ColumnSchema("proto", "categorical", "dummy"),
+    ColumnSchema("label", "label"),
+]
+# cells the column conversion cannot take in one stroke, each placed past the
+# first block of rows
+LATE_CELLS = {
+    700: ("oops", "1", "tcp", "normal"),
+    800: ("inf", "2", "tcp", "attack"),
+    900: ("3", "1_000", "udp", "normal"),
+    1000: ("\x1f5.5\x1f", "4", "udp", "attack"),
+    1100: (" 2.5 ", "\t5\t", " tcp ", " normal "),
+    1150: ("\u0661\u0662", "6", "tcp", "normal"),
+    1200: ("7", "8", "", "attack"),
+    1250: ("9", "nan", "tcp", "normal"),
+    1280: ("10", "tcp", "normal"),
+    1290: ("1e400", "-0.0", "udp", "attack"),
+}
+
+
+def rows_past_one_block(n_rows=1300):
+    rows = []
+    for i in range(n_rows):
+        cells = LATE_CELLS.get(
+            i, (f"{i * 0.37:.3f}", f"{i % 17 - 8}e-3", ("tcp", "udp")[i % 2],
+                ("normal", "attack", "scan")[i % 3])
+        )
+        rows.append(",".join(cells))
+    return rows
+
+
 LOAD_FIXTURES = {
     "padded_cells": (SCHEMA, "rate,proto,port,flag,junk,label", [
         " 1.5 , tcp ,\t80\t, S ,x, normal ",
@@ -299,6 +332,7 @@ LOAD_FIXTURES = {
         "x,oops,y,normal",
     ]),
     "label_only_schema": (LABEL_ONLY, "label", ["normal", " attack ", "", "normal"]),
+    "rows_past_one_block": (TWO_NUMERIC, "a,b,proto,label", rows_past_one_block()),
 }
 
 
@@ -321,6 +355,19 @@ def test_load_csv_loads_the_table_of_the_row_loop(tmp_path, name):
         else:
             assert got.dtype == np.float64
             assert got.tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_load_csv_raises_an_empty_label_before_a_later_malformed_record(tmp_path):
+    rows = [f"{i},tcp,80,S,x,normal" for i in range(8)]
+    rows[2] = "2,tcp,80,S,x, "
+    rows[6] = "6,tcp,80,S,x," + "y" * 140_000
+    path = write_csv(tmp_path / "t.csv", rows)
+    with pytest.raises(DataError, match="line 4: empty label value"):
+        load_csv(path, SCHEMA)
+    rows[2], rows[7] = "2,tcp,80,S,x,normal", "7,tcp,80,S,x,"
+    path = write_csv(tmp_path / "u.csv", rows)
+    with pytest.raises(DataError, match="line 8: field larger than field limit"):
+        load_csv(path, SCHEMA)
 
 
 def test_dedup_keeps_first_occurrence():

@@ -254,6 +254,20 @@ def test_rfe_keep_threshold_zero_drops_nothing():
     assert result.trace == []  # no elimination rounds at all
 
 
+def test_an_rfe_round_peaks_below_two_copies_of_the_matrix():
+    # the first fit takes X itself, not a fancy-indexed copy copied again
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(5000, 64))
+    y = (X[:, 0] > 0).astype(np.int64)
+    tracemalloc.start()
+    try:
+        rfe(X, y, RfeConfig(keep_threshold=0.0, n_trees=1, max_depth=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * X.nbytes, peak / X.nbytes
+
+
 def test_rfe_by_default_ranks_on_a_30_tree_forest():
     X, y = two_blobs(n_per=60, seed=16)
     result = rfe(X, y)

@@ -216,6 +216,25 @@ def test_small_groups_and_constant_features_warn():
     assert observed.details[0].statistic == 0.0
 
 
+def test_a_constant_feature_warning_names_the_caller_at_every_worker_count():
+    table = ColumnTable(
+        {"flat": np.zeros(50), "sig": np.arange(50.0)},
+        np.repeat([0, 1], 25),
+        LabelVocabulary(names=("atk", "norm")),
+    )
+    places = []
+    for workers in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            observed_details(
+                table, ["flat", "sig"], scott_config(permutations=3), workers=workers, seed=SEED
+            )
+        places += [(w.filename, w.lineno) for w in caught if "constant" in str(w.message)]
+    assert len(places) == 2
+    assert places[0] == places[1]
+    assert places[0][0] == __file__
+
+
 def test_small_class_warns_once_per_test():
     table = two_class_table(n_a=10, n_b=25, seed=11)
     for workers in (1, 2):
