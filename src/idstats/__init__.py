@@ -43,10 +43,8 @@ from .preprocess import (
     correlation_matrix,
     drop_correlated,
     engineer_features,
-    iqr_outlier_mask,
     kendall_tau_b,
     pearson_corr,
-    quantile,
     robust_fit,
     robust_transform,
 )
@@ -69,7 +67,6 @@ from .trees import (
     fit_model,
     fit_tree,
     impurity_importance,
-    load_model,
     model_from_dict,
     model_to_dict,
     predict_labels,

@@ -100,12 +100,14 @@ def scott_bandwidth(x: np.ndarray) -> float:
 
 
 def silverman_bandwidth(x: np.ndarray) -> float:
-    """Silverman's rule h = 0.9 * min(sigma_hat, IQR/1.34) * n^(-1/5)."""
+    """Silverman's rule h = 0.9 * min(sigma_hat, IQR/1.34) * n^(-1/5), with
+    sigma_hat alone when the IQR is 0 (Silverman 1986, §3.4.2; R's bw.nrd0)."""
     x = _checked_sample(x, "silverman_bandwidth")
     if x.size < 2:
         return _degenerate(x, "silverman_bandwidth: single sample")
     q1, _, q3 = quartiles(x)
-    spread = min(_sample_std(x), (q3 - q1) / 1.34)
+    sigma = _sample_std(x)
+    spread = min(sigma, (q3 - q1) / 1.34) or sigma
     if spread <= 0.0:
         return _degenerate(x, "silverman_bandwidth: zero sample spread")
     return 0.9 * spread * x.size ** (-0.2)
@@ -490,20 +492,10 @@ def overlap_coefficient(pair: DensityPair) -> float:
     return float(np.minimum(pair.p, pair.q).sum())
 
 
-def overlap_intervals(
-    pair: DensityPair, eps: float | None = None
-) -> list[tuple[float, float]]:
-    """Maximal grid intervals where both masses exceed eps.
-
-    Args:
-        pair: mass vectors on a shared grid.
-        eps: threshold; default 1e-3 times the larger peak mass.
-
-    Returns:
-        [lo, hi] endpoints in feature units, one pair per maximal run.
-    """
-    if eps is None:
-        eps = 1e-3 * max(float(pair.p.max()), float(pair.q.max()))
+def overlap_intervals(pair: DensityPair) -> list[tuple[float, float]]:
+    """Maximal grid intervals where both masses exceed 1e-3 times the larger
+    peak mass, as [lo, hi] endpoints in feature units, one per maximal run."""
+    eps = 1e-3 * max(float(pair.p.max()), float(pair.q.max()))
     inside = np.minimum(pair.p, pair.q) > eps
     edges = np.diff(inside.astype(np.int8))
     starts = list(np.flatnonzero(edges == 1) + 1)
@@ -589,7 +581,7 @@ def shape_summary(
     for name, x, h in per_class:
         model = KdeModel(x, h)
         q1, median, q3 = quartiles(x)
-        # outliers as iqr_outlier_mask flags them, from the same quartiles
+        # outliers lie strictly outside the 1.5·IQR fences
         fence = 1.5 * (q3 - q1)
         shapes.append(
             ClassShape(

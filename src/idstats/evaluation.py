@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -235,7 +235,7 @@ def _fold_metrics(y: np.ndarray, proba: np.ndarray) -> tuple[FoldMetrics, int]:
 _FoldScores = tuple[FoldMetrics, FoldMetrics, int]
 
 
-def _cv_report(k: int, folds: list[_FoldScores]) -> CvReport:
+def _cv_report(k: int, folds: tuple[_FoldScores, ...]) -> CvReport:
     """Aggregate per-fold (train, test, zero divisions) into a CvReport."""
     train_metrics = [train for train, _, _ in folds]
     test_metrics = [test for _, test, _ in folds]
@@ -316,35 +316,6 @@ def _fold_scores(
     return out
 
 
-def _cross_validate_groups(
-    groups: list[tuple[str, list[dict]]],
-    table: ColumnTable,
-    k: int,
-    seed: int,
-    workers: int,
-) -> list[list[CvReport]]:
-    """A CvReport per cell of every (family, cells) group, all on one
-    stratified fold split.
-
-    The (group, fold) tasks run on ``workers`` processes; the reports do not
-    depend on the worker count.
-    """
-    y = table.labels
-    fold_of = stratified_kfold(y, k, seed, class_names=list(table.vocabulary.names))
-    scores = ordered_map(
-        partial(_fold_scores, table.matrix(), y, fold_of, table.vocabulary.n_classes, seed),
-        [(family, cells, f) for family, cells in groups for f in range(k)],
-        workers=workers,
-    )
-    reports = []
-    for g, (_, cells) in enumerate(groups):
-        by_fold = scores[g * k : (g + 1) * k]
-        reports.append(
-            [_cv_report(k, [fold[c] for fold in by_fold]) for c in range(len(cells))]
-        )
-    return reports
-
-
 @dataclass
 class GridCell:
     params: dict
@@ -353,9 +324,8 @@ class GridCell:
 
 @dataclass
 class GridSearchResult:
-    family: str
     best_index: int
-    cells: list[GridCell] = field(default_factory=list)
+    cells: list[GridCell]
 
     @property
     def best_params(self) -> dict:
@@ -416,22 +386,29 @@ def grid_search(
     families. Results do not depend on the worker count.
     """
     layouts = {family: _grid_groups(family, grid) for family, grid in grids.items()}
-    groups = [
-        (family, [all_params[i] for i in members])
+    y = table.labels
+    fold_of = stratified_kfold(y, k, seed, class_names=list(table.vocabulary.names))
+    tasks = [
+        (family, [all_params[i] for i in members], f)
         for family, (all_params, family_groups) in layouts.items()
         for members in family_groups
+        for f in range(k)
     ]
-    reports = iter(_cross_validate_groups(groups, table, k, seed, workers))
+    score = partial(_fold_scores, table.matrix(), y, fold_of, table.vocabulary.n_classes, seed)
+    scores = iter(ordered_map(score, tasks, workers=workers))
     results = {}
     for family, (all_params, family_groups) in layouts.items():
         by_cell: dict[int, CvReport] = {}
         for members in family_groups:
-            by_cell.update(zip(members, next(reports)))
+            # the group's k tasks, each a fold's scores of every member
+            by_fold = itertools.islice(scores, k)
+            for i, folds in zip(members, zip(*by_fold)):
+                by_cell[i] = _cv_report(k, folds)
         cells = [GridCell(params, by_cell[i]) for i, params in enumerate(all_params)]
         best_index = min(
             range(len(cells)),
             key=lambda i: selection_key(family, cells[i].params, cells[i].report.test_mean.f1)
             + (i,),
         )
-        results[family] = GridSearchResult(family, best_index, cells)
+        results[family] = GridSearchResult(best_index, cells)
     return results

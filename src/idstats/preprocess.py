@@ -1,5 +1,5 @@
-"""Robust scaling, IQR outlier flagging, engineered transforms, correlation
-measures (Pearson, Kendall tau-b), and correlation-threshold feature dropping."""
+"""Quartiles, robust scaling, engineered transforms, correlation measures
+(Pearson, Kendall tau-b), and correlation-threshold feature dropping."""
 
 from __future__ import annotations
 
@@ -16,19 +16,9 @@ from .tabular import ColumnTable
 RECIPROCAL_EPS = 1e-9
 
 
-def quantile(x: np.ndarray, q: float) -> float:
-    """Linear-interpolation quantile: index h = q·(n−1) into the sorted values."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise DataError("quantile of an empty vector")
-    if not 0.0 <= q <= 1.0:
-        raise DataError(f"quantile level must be in [0, 1], got {q}")
-    return float(np.quantile(x, q))
-
-
 def quartiles(x: np.ndarray) -> tuple[float, float, float]:
-    """Q1, median and Q3 of a non-empty vector, as ``quantile`` gives each,
-    from one partition."""
+    """Q1, median and Q3 of a non-empty vector, from one partition: quantile q
+    interpolates linearly at index q·(n−1) into the sorted values."""
     return tuple(np.quantile(x, (0.25, 0.5, 0.75)).tolist())
 
 
@@ -54,16 +44,6 @@ def robust_transform(x: np.ndarray, state: RobustScalerState) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     divisor = state.iqr if state.iqr > 0.0 else 1.0
     return (x - state.median) / divisor
-
-
-def iqr_outlier_mask(x: np.ndarray, k: float = 1.5) -> np.ndarray:
-    """True where x falls outside [Q1 − k·IQR, Q3 + k·IQR]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        raise DataError("iqr_outlier_mask on an empty vector")
-    q1, _, q3 = quartiles(x)
-    spread = q3 - q1
-    return (x < q1 - k * spread) | (x > q3 + k * spread)
 
 
 @dataclass(frozen=True)
@@ -247,31 +227,17 @@ def kendall_tau_b(x: np.ndarray | Ranked, y: np.ndarray | Ranked) -> float:
     return float(np.clip(num / denom, -1.0, 1.0))
 
 
-@dataclass
-class CorrelationMatrix:
-    """Symmetric coefficient matrix over named numeric columns."""
-
-    method: str
-    names: list[str]
-    values: np.ndarray
-
-    def lookup(self, a: str, b: str) -> float:
-        return float(self.values[self.names.index(a), self.names.index(b)])
-
-
-def correlation_matrix(
-    t: ColumnTable, method: str, names: list[str] | None = None, workers: int = 1
-) -> CorrelationMatrix:
-    """Pairwise Pearson or Kendall matrix over the named numeric columns.
+def correlation_matrix(t: ColumnTable, method: str, workers: int = 1) -> np.ndarray:
+    """Symmetric Pearson or Kendall matrix over t's feature columns, in column
+    order, with ones on the diagonal.
 
     For Kendall each column is ranked once, and the pairs run on ``workers``
     processes; the matrix does not depend on it.
     """
     if method not in ("pearson", "kendall"):
         raise DataError(f"unknown correlation method {method!r}")
-    names = t.feature_names if names is None else names
-    p = len(names)
-    cols = [t.column(name).astype(np.float64, copy=False) for name in names]
+    cols = [col.astype(np.float64, copy=False) for col in t.columns.values()]
+    p = len(cols)
     pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
     if method == "pearson":
         coefficients = [pearson_corr(cols[i], cols[j]) for i, j in pairs]
@@ -283,7 +249,7 @@ def correlation_matrix(
     values = np.eye(p)
     for (i, j), coefficient in zip(pairs, coefficients):
         values[i, j] = values[j, i] = coefficient
-    return CorrelationMatrix(method=method, names=names, values=values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -309,8 +275,8 @@ def drop_correlated(
     names = t.feature_names
     if len(names) < 2:
         raise DataError("drop_correlated needs at least 2 columns")
-    pear = correlation_matrix(t, "pearson", names).values
-    kend = correlation_matrix(t, "kendall", names, workers=workers).values
+    pear = correlation_matrix(t, "pearson")
+    kend = correlation_matrix(t, "kendall", workers=workers)
     strength = np.maximum(np.abs(pear), np.abs(kend))
     np.fill_diagonal(strength, 0.0)
 

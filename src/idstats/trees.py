@@ -29,16 +29,6 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1)[0])
 
 
-def gini(counts: np.ndarray) -> float:
-    """Gini impurity 1 − Σ (c_k/n)² of a class-count vector."""
-    counts = np.asarray(counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0 or np.any(counts < 0):
-        raise DataError("gini needs non-negative counts with a positive total")
-    shares = counts / total
-    return float(1.0 - np.dot(shares, shares))
-
-
 def _check_xy(X: np.ndarray, y: np.ndarray, n_classes: int | None) -> tuple:
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -267,7 +257,7 @@ def _grow_tree(
         counts = np.bincount(y[rows], weights=weight[rows], minlength=n_classes)
         size = int(counts.sum())
         shares = counts / size
-        impurity = float(1.0 - np.dot(shares, shares))  # gini(counts)
+        impurity = float(1.0 - np.dot(shares, shares))  # Gini: 1 − Σ share²
         return nodes.add(size, shares), rows, counts, size, impurity
 
     root = node_for(np.flatnonzero(weight))
@@ -864,8 +854,3 @@ def model_from_dict(data: dict) -> Model:
 def save_model(model: Model, path: str) -> None:
     with atomic_open(path, encoding="utf-8") as handle:
         json.dump(model_to_dict(model), handle)
-
-
-def load_model(path: str) -> Model:
-    with open(path, encoding="utf-8") as handle:
-        return model_from_dict(json.load(handle))

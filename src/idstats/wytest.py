@@ -221,24 +221,19 @@ def observed_details(
     return Observation(cfg, seed, pooled, n_a, tuple(details))
 
 
-def _permutation_rows(observed: Observation, b_values: list[int]) -> np.ndarray:
-    """T_{i,b} for every feature i and each b in b_values (rows are b), with
-    the observation's settings and master seed."""
+def _permutation_row(observed: Observation, b: int) -> np.ndarray:
+    """T_{i,b} for every feature i under permutation b, with the
+    observation's settings and master seed."""
     pooled, n_a, cfg, seed = observed.pooled, observed.n_a, observed.cfg, observed.seed
-    n = pooled.shape[1]
-    out = np.empty((len(b_values), pooled.shape[0]), dtype=np.float64)
+    perm = np.random.default_rng([seed, _PERM_TAG, b]).permutation(pooled.shape[1])
+    # row j receives the label of source row perm[j]
+    to_a = perm < n_a
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataQualityWarning)
-        for row, b in enumerate(b_values):
-            perm = np.random.default_rng([seed, _PERM_TAG, b]).permutation(n)
-            # row j receives the label of source row perm[j]
-            to_a = perm < n_a
-            for i in range(pooled.shape[0]):
-                stat, _, _, _ = _pair_statistic(
-                    pooled[i, to_a], pooled[i, ~to_a], cfg, seed, b=b, feature_index=i
-                )
-                out[row, i] = stat
-    return out
+        return np.array([
+            _pair_statistic(values[to_a], values[~to_a], cfg, seed, b=b, feature_index=i)[0]
+            for i, values in enumerate(pooled)
+        ])
 
 
 def wy_maxT(observed: Observation, workers: int = 1) -> WyTestReport:
@@ -248,18 +243,14 @@ def wy_maxT(observed: Observation, workers: int = 1) -> WyTestReport:
     features), per-feature statistics T_{i,b} are recomputed through the
     identical KDE pipeline, with the observation's settings and seed, and the
     trace records T_b = max_i T_{i,b}. The adjusted p-value of feature i is
-    (1 + #{b: T_b >= T_i}) / (B + 1). The permutations run on ``workers``
-    processes; results are independent of it.
+    (1 + #{b: T_b >= T_i}) / (B + 1). Each permutation is one task of a pool
+    of ``workers`` processes; results are independent of it.
     """
     cfg = observed.cfg
-    # workers * 4 chunks of permutations keep the pool's load balanced
-    b_values = list(range(1, cfg.permutations + 1))
-    chunk_size = max(1, -(-cfg.permutations // (max(workers, 1) * 4)))
-    chunks = [b_values[i : i + chunk_size] for i in range(0, len(b_values), chunk_size)]
-    parts = ordered_map(partial(_permutation_rows, observed), chunks, workers=workers)
-    stat_rows = np.vstack(parts)
-
-    trace = stat_rows.max(axis=1)
+    rows = ordered_map(
+        partial(_permutation_row, observed), range(1, cfg.permutations + 1), workers=workers
+    )
+    trace = np.vstack(rows).max(axis=1)
     results = []
     for detail in observed.details:
         exceed = int(np.sum(trace >= detail.statistic))

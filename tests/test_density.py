@@ -33,7 +33,7 @@ from idstats.density import (
     to_mass_pair,
 )
 from idstats.errors import DataError, DataQualityWarning
-from idstats.preprocess import quantile
+from idstats.preprocess import quartiles
 from idstats.tabular import ColumnTable, LabelVocabulary
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -49,7 +49,8 @@ def test_scott_bandwidth_known_value():
 
 def test_silverman_uses_smaller_of_std_and_scaled_iqr():
     x = np.random.default_rng(6).normal(0.0, 1.0, 64)
-    spread = min(np.std(x, ddof=1), (quantile(x, 0.75) - quantile(x, 0.25)) / 1.34)
+    q1, _, q3 = quartiles(x)
+    spread = min(np.std(x, ddof=1), (q3 - q1) / 1.34)
     assert silverman_bandwidth(x) == pytest.approx(0.9 * spread * 64 ** -0.2)
 
 
@@ -67,11 +68,13 @@ def test_degenerate_samples_fall_back_with_warning():
 
 
 def test_silverman_degenerate_iqr_but_positive_std():
-    # IQR is zero while the std is not: spread = 0 triggers the fallback
+    # IQR is zero while the std is not: the std alone is the spread, unwarned
     x = np.array([0.0] * 20 + [100.0])
-    with pytest.warns(DataQualityWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DataQualityWarning)
         h = silverman_bandwidth(x)
-    assert h == pytest.approx(0.1)
+    assert h == pytest.approx(0.9 * np.std(x, ddof=1) * 21 ** -0.2)
+    assert h == pytest.approx(10.683, abs=1e-3)
 
 
 def test_default_cv_candidates_span_scott():
@@ -579,8 +582,10 @@ def test_overlap_intervals_handles_boundary_runs():
     uniform = np.full(5, 0.2)
     pair = DensityPair(grid=grid, p=uniform, q=uniform)
     assert overlap_intervals(pair) == [(0.0, 4.0)]
-    # explicit eps above everything: no intervals
-    assert overlap_intervals(pair, eps=0.5) == []
+    # disjoint supports share no mass above the threshold: no intervals
+    p, q = np.array([0.5, 0.5, 0, 0, 0]), np.array([0, 0, 0, 0.5, 0.5])
+    apart = DensityPair(grid=grid, p=p, q=q)
+    assert overlap_intervals(apart) == []
 
 
 def shape_table():
@@ -600,9 +605,7 @@ def test_shape_summary_reports_per_class_statistics():
     assert [c.class_name for c in summary.classes] == ["calm", "burst"]
     calm = summary.classes[0]
     assert calm.count == 80
-    assert calm.median == pytest.approx(quantile(xa, 0.5))
-    assert calm.q1 == pytest.approx(quantile(xa, 0.25))
-    assert calm.q3 == pytest.approx(quantile(xa, 0.75))
+    assert (calm.q1, calm.median, calm.q3) == quartiles(xa)
     assert calm.minimum == xa.min()
     assert calm.maximum == xa.max()
     assert calm.bandwidth == pytest.approx(scott_bandwidth(xa))
@@ -613,6 +616,25 @@ def test_shape_summary_reports_per_class_statistics():
     assert summary.grid.points[0] == pytest.approx(lo)
     assert summary.grid.points[-1] == pytest.approx(hi)
     assert all(c.density.size == 128 for c in summary.classes)
+
+
+def test_shape_summary_outliers_lie_outside_the_iqr_fences():
+    samples = {
+        # q1=2, q3=4 -> fences at -1 and 7: nothing flagged
+        "plain": [1.0, 2.0, 3.0, 4.0, 5.0],
+        # q1=2.25, q3=4.75 -> fences [-1.5, 8.5]: 100 is flagged
+        "spike": [1.0, 2.0, 3.0, 4.0, 5.0, 100.0],
+        # q1=1, q3=2 -> fences [-0.5, 3.5], and a value sits on each
+        "fenced": [-0.5, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.5],
+    }
+    table = ColumnTable(
+        {"x": np.concatenate([np.array(v) for v in samples.values()])},
+        np.repeat(np.arange(3), [len(v) for v in samples.values()]),
+        LabelVocabulary(names=tuple(samples)),
+    )
+    summary = shape_summary(table, "x", n_points=64)
+    assert [c.outliers for c in summary.classes] == [0, 1, 0]
+    assert [(c.q1, c.q3) for c in summary.classes] == [(2.0, 4.0), (2.25, 4.75), (1.0, 2.0)]
 
 
 def test_shape_summary_skips_empty_class_with_warning():

@@ -166,6 +166,21 @@ def test_grid_cells_equal_cross_validating_each_cell_alone(family, grid):
     assert pooled.best_index == result.best_index
 
 
+def test_one_search_over_two_families_equals_searching_each_alone():
+    table = three_blobs(seed=2)
+    # two groups a family: one per max_depth
+    grids = {
+        "forest": {"n_trees": [3, 5], "max_depth": [2, None]},
+        "gbdt": {"rounds": [2, 4], "max_depth": [2, 3]},
+    }
+    alone = {
+        family: grid_search({family: grid}, table, k=3, seed=5)[family]
+        for family, grid in grids.items()
+    }
+    for workers in (1, 2):
+        assert grid_search(grids, table, k=3, seed=5, workers=workers) == alone
+
+
 def test_grid_search_fits_each_group_once_per_fold(monkeypatch):
     fitted = []
     fit = evaluation.fit_model

@@ -139,7 +139,8 @@ def test_cv_stage_reports_best_model(run_dir):
     assert fragment["best"]["family"] == "forest"
     assert fragment["best"]["params"]["n_trees"] in (8, 16)
     # the saved model reproduces the refit's test confusion matrix
-    model = trees.load_model(str(run_dir / "out" / "artifacts" / "best_model.json"))
+    doc = (run_dir / "out" / "artifacts" / "best_model.json").read_text(encoding="utf-8")
+    model = trees.model_from_dict(json.loads(doc))
     with np.load(run_dir / "out" / "artifacts" / "preprocessed.npz") as data:
         names = data["feature_names"].tolist()
         X_test = data["X_test"][:, [names.index(s) for s in data["selected"].tolist()]]

@@ -155,6 +155,19 @@ def test_worker_count_does_not_change_results():
         assert rs == rp
 
 
+@pytest.mark.parametrize("permutations", [1, 7])
+def test_a_task_per_permutation_gives_the_same_test_at_any_pool_size(permutations):
+    # B = 1 is a single task; B = 7 is not a multiple of the 3 workers
+    table = two_class_table(shift=1.2, seed=6)
+    cfg = scott_config(permutations=permutations)
+    observed = observed_details(table, ["sig", "noise"], cfg, seed=SEED)
+    serial = wy_maxT(observed, workers=1)
+    pooled = wy_maxT(observed, workers=3)
+    assert serial.max_trace.size == permutations
+    assert serial.max_trace.tobytes() == pooled.max_trace.tobytes()
+    assert serial.results == pooled.results
+
+
 def test_the_report_carries_the_observation():
     table = two_class_table(shift=0.7, seed=8)
     cfg = WyConfig(
