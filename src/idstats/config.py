@@ -237,8 +237,46 @@ def parse_config(doc: Any, base_dir: Path | None = None) -> RunConfig:
     return replace(cfg, input=base_dir / cfg.input, output=base_dir / cfg.output)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader that refuses a key written twice in one mapping.
+
+    Each mapping is checked once, before its merge keys (<<) are expanded in
+    place, so its own keys may still override merged ones.
+    """
+
+    def __init__(self, stream) -> None:
+        super().__init__(stream)
+        self._checked: set = set()
+
+    def flatten_mapping(self, node) -> None:
+        if node not in self._checked:
+            self._checked.add(node)
+            seen = []
+            for key_node, _ in node.value:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=True)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found key {key!r} twice", key_node.start_mark
+                    )
+                seen.append(key)
+        super().flatten_mapping(node)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """json.loads' object hook: a key given twice in one object is an error."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"found key {key!r} twice in one object")
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str | Path) -> RunConfig:
-    """Read and validate a YAML (.yaml/.yml) or JSON (.json) config file."""
+    """Read and validate a YAML (.yaml/.yml) or JSON (.json) config file; a
+    key given twice in one mapping is a ConfigError."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -247,14 +285,15 @@ def load_config(path: str | Path) -> RunConfig:
     suffix = path.suffix.lower()
     try:
         if suffix in (".yaml", ".yml"):
-            doc = yaml.safe_load(text)
+            doc = yaml.load(text, Loader=_UniqueKeyLoader)
         elif suffix == ".json":
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         else:
             raise ConfigError(
                 f"unsupported config extension {suffix!r} (use .yaml, .yml, or .json)"
             )
-    except (yaml.YAMLError, json.JSONDecodeError) as exc:
+    # json.JSONDecodeError and _unique_keys' error are both ValueErrors
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return parse_config(doc, base_dir=path.parent)
 

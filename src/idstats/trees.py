@@ -8,7 +8,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -190,44 +190,6 @@ def _best_split(
     return best
 
 
-def fit_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    max_depth: int | None = None,
-    min_leaf: int = 1,
-    feature_subset: int | None = None,
-    seed: int = 0,
-    n_classes: int | None = None,
-) -> Model:
-    """Greedy CART classifier on Gini gain with midpoint split candidates.
-
-    A node becomes a leaf when it is pure, too small, at max depth, or has no
-    candidate split; otherwise the best candidate is taken (a zero-gain split
-    is allowed; that is required to e.g. separate XOR at depth 2). When
-    feature_subset < p, each node draws that many features without
-    replacement from the tree's RNG in depth-first order. Each node sorts its
-    own rows on the features it searches.
-
-    Args:
-        X: n × p float matrix.
-        y: integer class ids.
-        max_depth: depth cap; None = unbounded; 0 yields a single leaf.
-        min_leaf: minimum rows per child.
-        feature_subset: features considered per split; None = all.
-        seed: RNG seed (only consumed when feature_subset < p).
-        n_classes: class count; default max(y) + 1.
-
-    Returns:
-        A one-tree Model; ``value`` holds each node's class distribution.
-    """
-    X, y, n_classes = _check_xy(X, y, n_classes)
-    rng = np.random.default_rng(seed)
-    tree = _grow_tree(
-        X, y, np.ones(X.shape[0]), n_classes, max_depth, min_leaf, feature_subset, rng
-    )
-    return Model("tree", [tree], n_classes, X.shape[1])
-
-
 def _grow_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -339,14 +301,33 @@ def fit_forest(
     return Model("forest", trees, n_classes, p)
 
 
+def fit_tree(
+    X: np.ndarray,
+    y: np.ndarray,
+    max_depth: int | None = None,
+    min_leaf: int = 1,
+    seed: int = 0,
+    n_classes: int | None = None,
+) -> Model:
+    """One CART tree on Gini gain: the forest's grower, unbagged, searching
+    every feature at every node.
+
+    A node becomes a leaf when it is pure, has fewer than 2·min_leaf rows, is
+    at max_depth (None = unbounded, 0 = a single leaf) or has no candidate
+    split; otherwise the best midpoint split is taken, even at zero gain (XOR
+    needs one at depth 2). Such a tree draws nothing from its RNG, so
+    ``seed`` changes nothing; it stays as the family's grid key.
+    """
+    model = fit_forest(X, y, 1, max_depth, min_leaf, None, False, seed, n_classes)
+    return replace(model, family="tree")
+
+
 def fit_majority(
     X: np.ndarray, y: np.ndarray, n_classes: int | None = None, seed: int = 0
 ) -> Model:
-    """Constant predictor: one leaf whose distribution is the class priors."""
-    X, y, n_classes = _check_xy(X, y, n_classes)
-    nodes = _Nodes()
-    nodes.add(y.size, np.bincount(y, minlength=n_classes) / y.size)
-    return Model("majority", [nodes.tree()], n_classes, X.shape[1])
+    """Constant predictor: the `fit_tree` tree cut at depth 0, one leaf whose
+    distribution is the class priors. ``seed`` changes nothing."""
+    return replace(fit_tree(X, y, 0, n_classes=n_classes), family="majority")
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:

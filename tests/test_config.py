@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from idstats import config
 from idstats.config import apply_overrides, config_echo, parse_config
 from idstats.errors import ConfigError, DataQualityWarning
 from idstats.tabular import ColumnTable, LabelVocabulary
@@ -394,3 +395,13 @@ def test_unknown_keys_are_rejected_with_their_path(path, where):
     message = f"unknown key(s) in {where}: 'bogus'"
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config(document)
+
+
+
+def test_a_merged_key_may_still_be_overridden():
+    # `<<` merges are expanded in place; b is merged into c before b's own
+    # turn comes, so each mapping's keys are checked before its expansion
+    text = "outer:\n  b: &b {<<: {x: 1}, x: 2}\nc: {<<: *b, y: 3}\n"
+    assert yaml.load(text, Loader=config._UniqueKeyLoader) == {
+        "outer": {"b": {"x": 2}}, "c": {"x": 2, "y": 3},
+    }

@@ -508,6 +508,42 @@ def test_json_config_is_accepted(tmp_path):
     assert (tmp_path / "out" / "artifacts" / "state.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        # a second top-level section
+        ("wy", CONFIG_YAML + "wy:\n  permutations: 8\n"),
+        # a schema column given two roles
+        ("rate", CONFIG_YAML.replace("  rate: numeric\n", "  rate: numeric\n  rate: drop\n")),
+        # a nested grid key
+        ("n_trees", CONFIG_YAML.replace(
+            "      n_trees: [8, 16]\n", "      n_trees: [8, 16]\n      n_trees: [4]\n"
+        )),
+    ],
+    ids=["section", "schema_column", "nested_key"],
+)
+def test_a_yaml_key_given_twice_in_one_mapping_exits_1(tmp_path, capsys, key, text):
+    # the parser would keep the last value and silently drop the first
+    write_dataset(tmp_path / "data.csv")
+    (tmp_path / "run.yaml").write_text(text, encoding="utf-8")
+    assert cli.main(["preprocess", "--config", str(tmp_path / "run.yaml")]) == 1
+    err = capsys.readouterr().err
+    repeat = [i for i, line in enumerate(text.splitlines(), 1) if line.strip().startswith(key)]
+    assert err.startswith("config error: ")
+    assert f"found key {key!r} twice" in err and f"line {repeat[-1]}," in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_json_key_given_twice_in_one_object_exits_1(tmp_path, capsys):
+    write_dataset(tmp_path / "data.csv")
+    text = json.dumps(yaml.safe_load(CONFIG_YAML))
+    (tmp_path / "run.json").write_text('{"seed": 3, ' + text[1:], encoding="utf-8")
+    assert cli.main(["preprocess", "--config", str(tmp_path / "run.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "found key 'seed' twice" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_busy_output_directory_exits_3(tmp_path, capsys):
     write_dataset(tmp_path / "data.csv")
     (tmp_path / "run.yaml").write_text(CONFIG_YAML, encoding="utf-8")

@@ -93,15 +93,6 @@ def test_tree_separates_shifted_gaussians():
     assert (predict_labels(tree, X) == y).mean() >= 0.95
 
 
-def test_tree_is_deterministic_in_seed():
-    X, y = two_blobs(seed=3)
-    a = fit_tree(X, y, feature_subset=2, seed=9)
-    b = fit_tree(X, y, feature_subset=2, seed=9)
-    pa = predict_proba(a, X)
-    pb = predict_proba(b, X)
-    assert np.array_equal(pa, pb)
-
-
 def test_forest_beats_chance_and_probas_normalize():
     X, y = two_blobs(n_per=150, shift=2.0, seed=4)
     forest = fit_forest(X, y, n_trees=30, seed=0)
@@ -112,11 +103,21 @@ def test_forest_beats_chance_and_probas_normalize():
     assert proba.min() >= 0.0
 
 
-def test_single_tree_forest_without_bootstrap_equals_plain_tree():
+@pytest.mark.parametrize("min_leaf", [1, 5])
+@pytest.mark.parametrize("max_depth", [None, 0, 3])
+def test_single_tree_forest_without_bootstrap_equals_plain_tree(max_depth, min_leaf):
+    # a tree that searches every feature and does not bootstrap draws nothing
+    # from its RNG, so neither the seed nor the family changes a bit
     X, y = two_blobs(n_per=80, shift=2.5, seed=6)
-    forest = fit_forest(X, y, n_trees=1, bootstrap=False, max_features=None, seed=11)
-    tree = fit_tree(X, y, seed=11)
-    assert np.array_equal(predict_proba(forest, X), predict_proba(tree, X))
+    forest = fit_forest(
+        X, y, n_trees=1, max_depth=max_depth, min_leaf=min_leaf, max_features=None,
+        bootstrap=False, seed=11,
+    )
+    tree = fit_tree(X, y, max_depth=max_depth, min_leaf=min_leaf, seed=4)
+    assert json.dumps(model_to_dict(replace(forest, family="tree"))) == json.dumps(
+        model_to_dict(tree)
+    )
+    assert predict_proba(forest, X).tobytes() == predict_proba(tree, X).tobytes()
 
 
 def test_forest_is_order_independent_per_tree_seed():
@@ -153,6 +154,16 @@ def test_majority_model_is_constant_priors():
     proba = predict_proba(m, X)
     assert np.allclose(proba, [0.7, 0.3])
     assert predict_labels(m, X).tolist() == [0] * 10
+
+
+def test_majority_is_the_depth_zero_tree():
+    X, y = _oracle_data(n=90, n_classes=4, seed=13)
+    majority = fit_majority(X, y, n_classes=5)
+    stump = fit_tree(X, y, max_depth=0, n_classes=5)
+    assert majority.family == "majority"
+    assert json.dumps(model_to_dict(replace(majority, family="tree"))) == json.dumps(
+        model_to_dict(stump)
+    )
 
 
 def test_gbdt_loss_starts_at_prior_entropy_and_never_increases():
@@ -718,13 +729,10 @@ def test_forest_on_integer_ties_and_a_constant_column_equals_the_reference():
             _assert_same_model(forest, reference, X)
 
 
-@pytest.mark.parametrize("feature_subset, max_depth", [(3, None), (2, 4), (None, 5)])
-def test_fit_tree_equals_the_reference(feature_subset, max_depth):
+def test_fit_tree_equals_the_reference():
     X, y = _oracle_data(seed=9)
-    tree = fit_tree(X, y, max_depth=max_depth, feature_subset=feature_subset, seed=3)
-    reference = _reference_grow_tree(
-        X, y, 3, max_depth, 1, feature_subset, np.random.default_rng(3)
-    )
+    tree = fit_tree(X, y, max_depth=5, seed=3)
+    reference = _reference_grow_tree(X, y, 3, 5, 1, None, np.random.default_rng(3))
     _assert_same_model(tree, Model("tree", [reference], 3, X.shape[1]), X)
 
 
