@@ -16,8 +16,8 @@ from .density import (
     DensityPair,
     EvalGrid,
     KdeModel,
+    bandwidth_for,
     cv_bandwidth,
-    fit_kde,
     js_distance,
     js_distance_from_masses,
     kde_eval,

@@ -304,12 +304,6 @@ def bandwidth_for(
     raise DataError(f"unknown bandwidth policy {policy!r}")
 
 
-def fit_kde(x: np.ndarray, policy: str = "scott", seed: int | list[int] = 0) -> KdeModel:
-    """Fit a KDE under a bandwidth policy (a fixed bandwidth h is KdeModel(x, h))."""
-    x = np.asarray(x, dtype=np.float64)
-    return KdeModel(x, bandwidth_for(x, policy, seed))
-
-
 def kde_eval(model: KdeModel, points: np.ndarray) -> np.ndarray:
     """f_hat(x) = (1/(n*h)) * sum_j phi((x - x_j)/h) at each point."""
     points = np.asarray(points, dtype=np.float64)

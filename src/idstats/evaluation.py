@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -15,12 +15,14 @@ from .errors import DataError, DataQualityWarning, IdstatsError
 from .parallel import ordered_map
 from .tabular import ColumnTable
 from .trees import (
+    SIZE_KEY,
     ModelSpec,
     check_grid,
     derive_seed,
     fit_model,
     fitter_defaults,
     predict_proba,
+    truncate,
 )
 
 # A model is stable when a metric's fold range (max − min) stays within this.
@@ -261,21 +263,6 @@ def _cv_report(k: int, folds: tuple[_FoldScores, ...]) -> CvReport:
     )
 
 
-# The grid key whose cells are prefixes of one larger fit: forest tree i is
-# seeded by (seed, i) and boosting rounds run in sequence, so the first n
-# trees (rounds) of a larger fit are exactly the fit with n.
-_SIZE_KEY = {"forest": "n_trees", "gbdt": "rounds"}
-
-
-def _prefix(model, size_key: str, n: int):
-    """The model a fit with ``size_key = n`` returns, cut from a larger fit."""
-    if size_key == "n_trees":
-        return replace(model, trees=model.trees[:n])
-    return replace(
-        model, trees=model.trees[: n * model.n_classes], train_loss=model.train_loss[: n + 1]
-    )
-
-
 def _fold_scores(
     X: np.ndarray, y: np.ndarray, fold_of: np.ndarray, n_classes: int, seed: int, task: tuple
 ) -> list[_FoldScores]:
@@ -283,12 +270,12 @@ def _fold_scores(
 
     ``task`` is (family, cells, fold). The cells differ at most in the
     family's size key; the largest of them is fit once and each cell is
-    scored on its prefix. The fold seed derives the model seed unless the
-    cells carry an explicit one. Fit errors are re-raised annotated with the
-    fold id.
+    scored on that fit's `truncate` to its size. The fold seed derives the
+    model seed unless the cells carry an explicit one. Fit errors are
+    re-raised annotated with the fold id.
     """
     family, cells, f = task
-    size_key = _SIZE_KEY.get(family)
+    size_key = SIZE_KEY.get(family)
     params = dict(cells[0])
     if size_key in params:
         params[size_key] = max(cell[size_key] for cell in cells)
@@ -305,9 +292,7 @@ def _fold_scores(
         raise RuntimeError(f"fold {f}: {exc}") from exc
     out = []
     for cell in cells:
-        cell_model = model
-        if size_key in cell:
-            cell_model = _prefix(model, size_key, cell[size_key])
+        cell_model = truncate(model, cell[size_key]) if size_key in cell else model
         (train, zd_train), (test, zd_test) = (
             _fold_metrics(y[mask], predict_proba(cell_model, X[mask]))
             for mask in (~test_mask, test_mask)
@@ -342,7 +327,7 @@ def selection_key(family: str, params: dict, mean_test_f1: float) -> tuple:
     fitter default, and 0 for a fitter without one (majority is one leaf).
     Minimizing the tuple picks the winner."""
     params = fitter_defaults(family) | params
-    size = params.get("rounds", params.get("n_trees", 0))
+    size = params[SIZE_KEY[family]] if family in SIZE_KEY else 0
     depth = params.get("max_depth", 0)
     return (-mean_test_f1, size, math.inf if depth is None else depth)
 
@@ -353,7 +338,7 @@ def _grid_groups(
     """The grid's cells in key order, and their indices grouped by every key
     but the family's size key."""
     check_grid(model_family, param_grid, model_family)
-    size_key = _SIZE_KEY.get(model_family)
+    size_key = SIZE_KEY.get(model_family)
     keys = list(param_grid)
     all_params = [
         dict(zip(keys, combo))

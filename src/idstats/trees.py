@@ -18,7 +18,7 @@ from .errors import ConfigError, DataError
 from .parallel import ordered_map
 
 MODEL_FORMAT = "idstats-model"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 # Gains this small are floating-point noise, not structure.
 _GAIN_EPS = 1e-12
@@ -109,7 +109,7 @@ class Model:
     """A fitted model of any family. ``tree`` holds one tree, ``forest`` its
     bagged trees and ``majority`` one leaf with the class priors. ``gbdt``
     holds its trees round-major, tree i for class i % n_classes, and alone
-    sets ``init_scores`` and ``train_loss`` (before any tree, then per round).
+    sets ``init_scores``.
     """
 
     family: str
@@ -117,7 +117,19 @@ class Model:
     n_classes: int
     n_features: int
     init_scores: np.ndarray | None = None
-    train_loss: list[float] | None = None
+
+
+# The fit parameter that sizes a family. Forest tree i is seeded by (seed, i)
+# and boosting rounds run in sequence, so the first n trees (rounds) of a
+# larger fit are exactly the fit with n.
+SIZE_KEY = {"forest": "n_trees", "gbdt": "rounds"}
+
+
+def truncate(model: Model, n: int) -> Model:
+    """The model a fit with ``SIZE_KEY[model.family] = n`` returns, cut from
+    a larger fit: a forest's first n trees or a GBDT's first n rounds."""
+    per_round = model.n_classes if model.family == "gbdt" else 1
+    return replace(model, trees=model.trees[: n * per_round])
 
 
 # Split-search temporaries hold at most this many class × row cells.
@@ -336,11 +348,6 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _log_loss(proba: np.ndarray, y: np.ndarray) -> float:
-    picked = proba[np.arange(y.size), y]
-    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-
-
 def _quantile_bin_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
     """Strictly increasing interior edges from the column's quantiles.
 
@@ -451,12 +458,11 @@ def fit_gbdt(
 
     Per round, one regression tree per class fits the Newton statistics
     g = p_k − 1{y=k}, h = p_k(1−p_k); scores start at the log class priors.
-    ``train_loss`` records the training log-loss before any trees and after
-    each round (length rounds + 1). The fit is deterministic; ``seed`` is kept
-    for interface symmetry with the other families. The bin codes are made
-    once per fit, offset per feature, so each node builds the histograms of
-    every feature with one bincount per statistic; the trees are those of
-    per-feature histograms, bit for bit.
+    The fit is deterministic; ``seed`` is kept for interface symmetry with
+    the other families. The bin codes are made once per fit, offset per
+    feature, so each node builds the histograms of every feature with one
+    bincount per statistic; the trees are those of per-feature histograms,
+    bit for bit.
 
     Args:
         X: n × p float matrix.
@@ -487,10 +493,8 @@ def fit_gbdt(
     onehot[np.arange(n), y] = 1.0
 
     trees: list[Tree] = []
-    losses: list[float] = []
     for _ in range(rounds):
         proba = _softmax(scores)
-        losses.append(_log_loss(proba, y))
         grad = proba - onehot
         hess = proba * (1.0 - proba)
         for k in range(n_classes):
@@ -500,8 +504,7 @@ def fit_gbdt(
             )
             scores[:, k] += leaf_values
             trees.append(tree)
-    losses.append(_log_loss(_softmax(scores), y))
-    return Model("gbdt", trees, n_classes, p, init_scores, losses)
+    return Model("gbdt", trees, n_classes, p, init_scores)
 
 
 def predict_proba(model: Model, X: np.ndarray) -> np.ndarray:
@@ -789,7 +792,7 @@ def model_to_dict(model: Model) -> dict:
         "trees": [_tree_to_dict(t) for t in model.trees],
     }
     if model.family == "gbdt":
-        doc |= {"init_scores": model.init_scores.tolist(), "train_loss": model.train_loss}
+        doc["init_scores"] = model.init_scores.tolist()
     return doc
 
 
@@ -811,8 +814,7 @@ def _model_from_fields(data: dict) -> Model:
     init_scores = np.asarray(data["init_scores"], dtype=np.float64)
     if init_scores.shape != (n_classes,):
         raise DataError(f"gbdt init_scores must have {n_classes} entries")
-    train_loss = [float(v) for v in data["train_loss"]]
-    return Model(family, trees, n_classes, p, init_scores, train_loss)
+    return Model(family, trees, n_classes, p, init_scores)
 
 
 def model_from_dict(data: dict) -> Model:

@@ -27,7 +27,7 @@ import yaml
 
 from idstats.config import parse_config
 from idstats.density import (
-    fit_kde,
+    KdeModel,
     js_distance_from_masses,
     kde_eval,
     scott_bandwidth,
@@ -36,7 +36,14 @@ from idstats.evaluation import stratified_kfold
 from idstats.pipeline import run_stage
 from idstats.preprocess import kendall_tau_b, quartiles, robust_fit, robust_transform
 from idstats.tabular import ColumnTable, LabelVocabulary, stratified_split
-from idstats.trees import fit_forest, fit_gbdt, fit_majority, fit_tree, predict_proba
+from idstats.trees import (
+    fit_forest,
+    fit_gbdt,
+    fit_majority,
+    fit_tree,
+    predict_proba,
+    truncate,
+)
 from idstats.wytest import WyConfig, observed_details, wy_maxT
 
 DATASET_ENV = "IDSTATS_DATASET"
@@ -108,7 +115,7 @@ def _kde_trapezoid_normalization() -> None:
         np.concatenate([rng.normal(-3.0, 0.5, 150), rng.normal(3.0, 0.5, 150)]),
     ]
     for x in shapes:
-        model = fit_kde(x, policy="scott")
+        model = KdeModel(x, scott_bandwidth(x))
         g = np.linspace(
             x.min() - 8 * model.bandwidth, x.max() + 8 * model.bandwidth, 4096
         )
@@ -181,7 +188,13 @@ def _blobs(seed: int = 107) -> tuple[np.ndarray, np.ndarray]:
 def _gbdt_loss_non_increasing() -> None:
     X, y = _blobs()
     model = fit_gbdt(X, y, rounds=25, learning_rate=0.2, max_depth=3, seed=0)
-    losses = np.asarray(model.train_loss)
+    # the training log-loss before any round and after each of the 25
+    losses = np.array([
+        -np.mean(np.log(np.maximum(
+            predict_proba(truncate(model, r), X)[np.arange(y.size), y], 1e-300
+        )))
+        for r in range(26)
+    ])
     assert losses.size == 26
     assert np.all(np.diff(losses) <= 1e-9)
 

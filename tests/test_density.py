@@ -19,7 +19,7 @@ from idstats.density import (
     cv_bandwidth,
     default_cv_candidates,
     KdeModel,
-    fit_kde,
+    bandwidth_for,
     grid_density,
     js_distance,
     js_distance_from_masses,
@@ -122,7 +122,7 @@ def test_bandwidth_rules_reject_a_non_finite_sample(bad):
             rule(x)
     # the error names the sample, not the bandwidth fitted from it
     with pytest.raises(DataError, match="scott_bandwidth: the sample"):
-        fit_kde(x, policy="scott")
+        bandwidth_for(x, "scott")
     with pytest.raises(DataError, match="cv_bandwidth: the sample"):
         cv_bandwidth(x, candidates=np.array([0.5, 1.0]))
 
@@ -432,14 +432,14 @@ def test_kde_matches_hand_computed_sum():
 
 def test_kde_integrates_to_one():
     x = np.random.default_rng(11).normal(3.0, 1.5, 400)
-    model = fit_kde(x, policy="scott")
+    model = KdeModel(x, scott_bandwidth(x))
     g = np.linspace(x.min() - 8 * model.bandwidth, x.max() + 8 * model.bandwidth, 4096)
     y = kde_eval(model, g)
     total = float(np.sum((y[1:] + y[:-1]) * 0.5 * np.diff(g)))
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-def test_fit_kde_validates():
+def test_kde_model_and_bandwidth_for_validate():
     with pytest.raises(DataError):
         KdeModel(np.array([]), 1.0)
     with pytest.raises(DataError):
@@ -449,9 +449,9 @@ def test_fit_kde_validates():
             KdeModel(np.array([1.0, 2.0, 3.0]), bad)
     for policy in ("scott", "silverman", "cv"):
         with pytest.raises(DataError, match="on an empty sample"):
-            fit_kde(np.array([]), policy=policy)
+            bandwidth_for(np.array([]), policy)
     with pytest.raises(DataError, match="policy"):
-        fit_kde(np.array([1.0, 2.0]), policy="epanechnikov")
+        bandwidth_for(np.array([1.0, 2.0]), "epanechnikov")
 
 
 def test_make_grid_pads_by_five_bandwidths():
@@ -498,8 +498,9 @@ def test_eval_grid_accepts_linspace_and_arange_grids(lo, hi, n):
 
 
 def test_to_mass_pair_renormalizes():
-    a = fit_kde(np.random.default_rng(1).normal(0, 1, 100), policy="scott")
-    b = fit_kde(np.random.default_rng(2).normal(4, 1, 100), policy="scott")
+    xa = np.random.default_rng(1).normal(0, 1, 100)
+    xb = np.random.default_rng(2).normal(4, 1, 100)
+    a, b = KdeModel(xa, scott_bandwidth(xa)), KdeModel(xb, scott_bandwidth(xb))
     grid = make_grid([a.samples, b.samples], max(a.bandwidth, b.bandwidth), 256)
     pair = to_mass_pair(a, b, grid)
     assert float(pair.p.sum()) == pytest.approx(1.0)
@@ -551,8 +552,8 @@ def test_js_distance_shrinks_as_separation_shrinks():
     base = rng.normal(0.0, 1.0, 300)
     last = 1.1
     for shift in (3.0, 1.5, 0.5, 0.0):
-        a = fit_kde(base, policy="scott")
-        b = fit_kde(base + shift, policy="scott")
+        a = KdeModel(base, scott_bandwidth(base))
+        b = KdeModel(base + shift, scott_bandwidth(base + shift))
         grid = make_grid([a.samples, b.samples], max(a.bandwidth, b.bandwidth))
         d = js_distance(to_mass_pair(a, b, grid))
         assert d < last + 1e-12
@@ -789,7 +790,7 @@ def test_binned_cost_rule_is_a_pure_function_of_sizes():
 def test_scott_on_512_points_takes_the_binned_path(n, kind, monkeypatch):
     rng = np.random.default_rng(n)
     x = rng.normal(0.0, 1.0, n) if kind == "normal" else rng.gamma(2.0, 1.0, n)
-    model = fit_kde(x, policy="scott")
+    model = KdeModel(x, scott_bandwidth(x))
     grid = make_grid([x], model.bandwidth, 512)
     monkeypatch.setattr(density, "_exact_density", None)  # calling it fails
     assert grid_density(model, grid).size == 512

@@ -31,6 +31,7 @@ from idstats.trees import (
     predict_proba,
     rfe,
     save_model,
+    truncate,
 )
 
 
@@ -166,17 +167,28 @@ def test_majority_is_the_depth_zero_tree():
     )
 
 
+def _train_losses(model, X, y):
+    """A GBDT's training log-loss before any round and after each one: the
+    log-loss of the predictions of the model cut to its first r rounds."""
+    losses = []
+    for r in range(len(model.trees) // model.n_classes + 1):
+        picked = predict_proba(truncate(model, r), X)[np.arange(y.size), y]
+        losses.append(float(-np.mean(np.log(np.maximum(picked, 1e-300)))))
+    return np.array(losses)
+
+
 def test_gbdt_loss_starts_at_prior_entropy_and_never_increases():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(250, 4))
     y = rng.integers(0, 5, size=250)
     # balanced-ish 5-class problem: first loss is close to ln 5
     model = fit_gbdt(X, y, rounds=12, learning_rate=0.3, max_depth=3, seed=0)
-    assert len(model.train_loss) == 13
-    assert model.train_loss[0] == pytest.approx(
+    losses = _train_losses(model, X, y)
+    assert losses.size == 13
+    assert losses[0] == pytest.approx(
         -np.mean(np.log(np.bincount(y, minlength=5)[y] / y.size)), abs=1e-9
     )
-    diffs = np.diff(model.train_loss)
+    diffs = np.diff(losses)
     assert np.all(diffs <= 1e-12)
 
 
@@ -184,7 +196,7 @@ def test_gbdt_exact_prior_loss_on_balanced_classes():
     X = np.random.default_rng(9).normal(size=(100, 2))
     y = np.repeat(np.arange(5), 20)
     model = fit_gbdt(X, y, rounds=1, seed=0)
-    assert model.train_loss[0] == pytest.approx(math.log(5.0), abs=1e-12)
+    assert _train_losses(model, X, y)[0] == pytest.approx(math.log(5.0), abs=1e-12)
 
 
 def test_gbdt_classifies_shifted_gaussians():
@@ -205,7 +217,23 @@ def test_gbdt_predictions_invariant_under_monotone_transform():
         assert np.array_equal(
             predict_proba(model_raw, X), predict_proba(model_t, Xt)
         ), transform
-    assert np.array_equal(model_raw.train_loss, fit_gbdt(np.log(X), y, rounds=10, max_depth=3, seed=4).train_loss)
+    model_log = fit_gbdt(np.log(X), y, rounds=10, max_depth=3, seed=4)
+    assert np.array_equal(_train_losses(model_raw, X, y), _train_losses(model_log, np.log(X), y))
+
+
+@pytest.mark.parametrize("family, size_key", [("forest", "n_trees"), ("gbdt", "rounds")])
+def test_a_cut_of_the_largest_fit_equals_a_fresh_fit_at_each_smaller_size(family, size_key):
+    # grid search fits a group's largest size once and scores every size on
+    # its cut; three classes make a GBDT round three trees
+    assert trees.SIZE_KEY[family] == size_key
+    X, y = _oracle_data(n=150, p=5, n_classes=3, seed=23)
+    params = {size_key: 6, "max_depth": 3}
+    largest = fit_model(ModelSpec(family, params), X, y, seed=5)
+    for n in range(1, 7):
+        fresh = fit_model(ModelSpec(family, params | {size_key: n}), X, y, seed=5)
+        cut = truncate(largest, n)
+        assert json.dumps(model_to_dict(cut)) == json.dumps(model_to_dict(fresh)), n
+        assert predict_proba(cut, X).tobytes() == predict_proba(fresh, X).tobytes(), n
 
 
 def test_predict_rejects_feature_count_mismatch():
@@ -323,7 +351,8 @@ def test_serialization_round_trip_preserves_predictions(tmp_path):
     for model in models:
         doc = model_to_dict(model)
         assert doc["format"] == "idstats-model"
-        assert doc["version"] == 3
+        assert doc["version"] == 4
+        assert "train_loss" not in doc
         expected = predict_proba(model, Xq).tobytes()
         assert predict_proba(model_from_dict(doc), Xq).tobytes() == expected
         path = tmp_path / f"{doc['family']}.json"
@@ -349,6 +378,14 @@ def test_deserialization_rejects_versions_before_3(version):
         "root": {"n": 2, "impurity": 0.0, "dist": [1.0, 0.0]},
     }
     with pytest.raises(DataError, match=f"version {version}.*rerun cv"):
+        model_from_dict(doc)
+
+
+def test_deserialization_rejects_a_version_3_document():
+    # version 3 also stored a GBDT's per-round training log-loss, which the
+    # trees and init_scores give back (see _train_losses)
+    doc = _fitted_doc("gbdt") | {"version": 3, "train_loss": [0.69, 0.5, 0.4]}
+    with pytest.raises(DataError, match="version 3.*rerun cv"):
         model_from_dict(doc)
 
 
