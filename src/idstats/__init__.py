@@ -26,7 +26,6 @@ from .density import (
     overlap_intervals,
     scott_bandwidth,
     shape_summary,
-    silverman_bandwidth,
     to_mass_pair,
 )
 from .errors import ConfigError, DataError, DataQualityWarning, IdstatsError

@@ -68,8 +68,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         raw_classes = getattr(args, "classes", None)
-        # WyConfig checks the pair, as it does the config file's
-        classes = None if raw_classes is None else tuple(raw_classes.split(","))
+        # WyConfig checks the pair, as it does the config file's; load_csv
+        # strips label cells, so no class name has outer spaces
+        classes = None if raw_classes is None else tuple(
+            name.strip() for name in raw_classes.split(",")
+        )
         cfg = load_config(args.config)
         cfg = apply_overrides(
             cfg,

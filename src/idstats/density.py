@@ -1,4 +1,4 @@
-"""Univariate Gaussian-kernel density estimation with Scott, Silverman, and
+"""Univariate Gaussian-kernel density estimation with Scott and
 cross-validated bandwidths, shared evaluation grids, Jensen-Shannon distance,
 overlap quantification, and per-class shape summaries."""
 
@@ -26,7 +26,7 @@ GRID_PAD_BANDWIDTHS = 5.0
 
 DEFAULT_GRID_SIZE = 512
 
-BANDWIDTH_POLICIES = ("scott", "silverman", "cv")
+BANDWIDTH_POLICIES = ("scott", "cv")
 
 # grid_density's binned kernel is cut at this many bandwidths.
 _KERNEL_REACH = 8.0
@@ -59,16 +59,8 @@ _EXP_AT_CLAMP = float(np.exp(_EXP_CLAMP))
 _EXP_FAST_LIMIT = 660.0
 
 
-def _sample_std(x: np.ndarray) -> float:
-    return float(np.std(x, ddof=1))
-
-
-def _fallback_bandwidth(x: np.ndarray) -> float:
-    return 1e-3 * max(float(np.max(np.abs(x))), 1.0)
-
-
 def _degenerate(x: np.ndarray, why: str) -> float:
-    h = _fallback_bandwidth(x)
+    h = 1e-3 * max(float(np.max(np.abs(x))), 1.0)
     warnings.warn(
         f"{why}; falling back to bandwidth {h:g}",
         DataQualityWarning,
@@ -93,24 +85,10 @@ def scott_bandwidth(x: np.ndarray) -> float:
     x = _checked_sample(x, "scott_bandwidth")
     if x.size < 2:
         return _degenerate(x, "scott_bandwidth: single sample")
-    sigma = _sample_std(x)
+    sigma = float(np.std(x, ddof=1))
     if sigma <= 0.0:
         return _degenerate(x, "scott_bandwidth: zero sample spread")
     return sigma * x.size ** (-0.2)
-
-
-def silverman_bandwidth(x: np.ndarray) -> float:
-    """Silverman's rule h = 0.9 * min(sigma_hat, IQR/1.34) * n^(-1/5), with
-    sigma_hat alone when the IQR is 0 (Silverman 1986, §3.4.2; R's bw.nrd0)."""
-    x = _checked_sample(x, "silverman_bandwidth")
-    if x.size < 2:
-        return _degenerate(x, "silverman_bandwidth: single sample")
-    q1, _, q3 = quartiles(x)
-    sigma = _sample_std(x)
-    spread = min(sigma, (q3 - q1) / 1.34) or sigma
-    if spread <= 0.0:
-        return _degenerate(x, "silverman_bandwidth: zero sample spread")
-    return 0.9 * spread * x.size ** (-0.2)
 
 
 def default_cv_candidates(x: np.ndarray, count: int = 20) -> np.ndarray:
@@ -292,13 +270,11 @@ def bandwidth_for(
     n_candidates: int = 20,
     folds: int = DEFAULT_CV_FOLDS,
 ) -> float:
-    """Bandwidth under the named policy: scott, silverman, or cv. Only cv
+    """Bandwidth under the named policy: scott or cv. Only cv
     reads the rest: it picks among default_cv_candidates(x, n_candidates)
     over ``folds`` folds shuffled from ``seed``."""
     if policy == "scott":
         return scott_bandwidth(x)
-    if policy == "silverman":
-        return silverman_bandwidth(x)
     if policy == "cv":
         return cv_bandwidth(x, default_cv_candidates(x, n_candidates), folds, seed)
     raise DataError(f"unknown bandwidth policy {policy!r}")

@@ -377,7 +377,7 @@ def _fit_hist_tree(
     max_depth: int | None,
     lambda_reg: float,
     min_child_weight: float,
-) -> tuple[Tree, np.ndarray]:
+) -> Tree:
     """One Newton regression tree on gradient/hessian histograms.
 
     ``codes`` (n × p) offsets feature f's bin codes by f·NB, NB the widest
@@ -385,29 +385,27 @@ def _fit_hist_tree(
     histograms of all features; each bin still adds its rows in row order,
     so the sums are those of per-feature bincounts to the last bit. Nodes
     are grown depth-first, left before right, and a split appends both
-    children to the arrays. Returns the tree and the per-sample leaf values
-    (already shrunk by the learning rate), so training can update scores
-    without re-routing.
+    children to the arrays. A split at bin code j of feature f stores
+    threshold ``edges[f][j]``: a row's code is <= j exactly when its value is
+    <= that edge, so ``_leaves`` routes the training rows as the codes did.
     """
     n, p = codes.shape
     n_cuts = np.array([e.size for e in edges], dtype=np.intp)
     width = int(n_cuts.max(initial=0)) + 1
     # cut j of feature f is a candidate only where f has more than j + 1 bins
     cuttable = np.arange(width - 1) < n_cuts[:, None]
-    values = np.empty(n, dtype=np.float64)
     nodes = _Nodes()
 
-    def node_for(idx: np.ndarray) -> tuple[int, np.ndarray, float, float, float]:
+    def node_for(idx: np.ndarray) -> tuple[int, np.ndarray, float, float]:
         sum_g = float(g[idx].sum())
         sum_h = float(h[idx].sum())
         step = -learning_rate * sum_g / (sum_h + lambda_reg)
-        return nodes.add(int(idx.size), step), idx, sum_g, sum_h, step
+        return nodes.add(int(idx.size), step), idx, sum_g, sum_h
 
     stack = [(*node_for(np.arange(n)), 0)]
     while stack:
-        i, idx, total_g, total_h, step, depth = stack.pop()
+        i, idx, total_g, total_h, depth = stack.pop()
         if (max_depth is not None and depth >= max_depth) or idx.size < 2 or width < 2:
-            values[idx] = step
             continue
         base_score = total_g * total_g / (total_h + lambda_reg)
         node_codes = codes.take(idx, axis=0)
@@ -431,7 +429,6 @@ def _fit_hist_tree(
                 best_gain = float(gain[f, pick])
                 best = (f, int(pick))
         if best is None:
-            values[idx] = step
             continue
         f, j = best
         mask = node_codes[:, f] <= f * width + j
@@ -439,7 +436,7 @@ def _fit_hist_tree(
         nodes.split(i, f, float(edges[f][j]), left[0], right[0], best_gain)
         stack.append((*right, depth + 1))
         stack.append((*left, depth + 1))
-    return nodes.tree(), values
+    return nodes.tree()
 
 
 def fit_gbdt(
@@ -471,7 +468,7 @@ def fit_gbdt(
         learning_rate: shrinkage applied to every leaf value, finite and > 0.
         max_depth: per-tree depth cap (None = unbounded).
         n_bins: histogram bins per feature (quantile bins, <= 255 by default).
-        lambda_reg: L2 regularization added to hessian denominators, >= 0.
+        lambda_reg: L2 regularization added to hessian denominators, > 0.
         min_child_weight: minimum child hessian sum for a valid split, >= 0.
     """
     X, y, n_classes = _check_xy(X, y, n_classes)
@@ -498,11 +495,11 @@ def fit_gbdt(
         grad = proba - onehot
         hess = proba * (1.0 - proba)
         for k in range(n_classes):
-            tree, leaf_values = _fit_hist_tree(
+            tree = _fit_hist_tree(
                 codes, edges, grad[:, k], hess[:, k],
                 learning_rate, max_depth, lambda_reg, min_child_weight,
             )
-            scores[:, k] += leaf_values
+            scores[:, k] += tree.value[_leaves(tree, X), 0]
             trees.append(tree)
     return Model("gbdt", trees, n_classes, p, init_scores)
 
@@ -605,9 +602,10 @@ GRID_VALUES = {
         lambda v: v is None or v == "sqrt" or _is_int(v, 1),
         '"sqrt", an integer >= 1 or null',
     ),
-    # XGBoost's ranges (Chen & Guestrin, KDD 2016)
+    # XGBoost's ranges (Chen & Guestrin, KDD 2016), but lambda_reg > 0 where
+    # XGBoost allows 0: it keeps every Newton denominator H + lambda positive
     "learning_rate": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
-    "lambda_reg": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
+    "lambda_reg": (lambda v: _is_finite(v) and v > 0, "a finite number > 0"),
     "min_child_weight": (lambda v: _is_finite(v) and v >= 0, "a finite number >= 0"),
     "bootstrap": (lambda v: isinstance(v, bool), "a boolean"),
 }

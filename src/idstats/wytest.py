@@ -41,7 +41,7 @@ class WyConfig:
             runs (``--classes`` can supply it), and the test then needs it.
         permutations: B, the permutation count.
         alpha: significance level in (0, 1).
-        bandwidth: "scott", "silverman", or "cv".
+        bandwidth: "scott" or "cv".
         grid_size: shared evaluation grid length.
         cv_candidates: candidate count for the cv policy inside the test
             (a coarse grid keeps the permutation loop affordable).

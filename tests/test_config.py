@@ -46,7 +46,7 @@ def test_cv_grids_accept_every_valid_value_kind():
             "rounds": [10],
             "learning_rate": [0.1, 1],
             "n_bins": [2, 255],
-            "lambda_reg": [0, 1.5],
+            "lambda_reg": [2, 1.5],
             "min_child_weight": [1e-3],
         },
         "tree": {"max_depth": [3], "min_leaf": [2]},
@@ -81,6 +81,7 @@ def test_cv_grids_accept_every_valid_value_kind():
         ("gbdt", "learning_rate", float("nan")),
         ("gbdt", "learning_rate", float("inf")),
         ("gbdt", "lambda_reg", -1),
+        ("gbdt", "lambda_reg", 0),
         ("gbdt", "lambda_reg", float("inf")),
         ("gbdt", "min_child_weight", -1e-3),
         ("gbdt", "min_child_weight", float("nan")),
@@ -105,11 +106,13 @@ def test_an_empty_grid_is_a_config_error(family):
         ("wy", "permutations", 0, "permutations"),
         ("wy", "alpha", 2, "alpha"),
         ("wy", "bandwidth", "foo", "policy"),
+        ("wy", "bandwidth", "silverman", "policy"),
         ("wy", "cv_folds", 1, "cv_folds"),
         ("wy", "cv_candidates", 0, "cv_candidates"),
         ("wy", "grid_size", 1, "grid_size"),
         ("wy", "classes", ["A", "A"], "distinct"),
         ("density", "policy", "foo", "policy"),
+        ("density", "policy", "silverman", "policy"),
         ("density", "grid_size", 1, "grid_size"),
         ("density", "features", [], "features"),
         ("wy", "features", [], "features"),
@@ -230,6 +233,7 @@ def test_the_wy_section_is_the_test_config():
         ({"permutations": 0}, "permutations"),
         ({"alpha": 2.0}, "alpha"),
         ({"bandwidth": "foo"}, "policy"),
+        ({"bandwidth": "silverman"}, "policy"),
         ({"classes": ("A", "A")}, "distinct"),
         ({"seed": -1}, "seed"),
         ({"threads": 0}, "threads"),
@@ -312,7 +316,7 @@ EVERY_FIELD = {
             "majority": {"seed": [1]},
         },
     },
-    "density": {"policy": "silverman", "grid_size": 64, "features": ["rate"]},
+    "density": {"policy": "cv", "grid_size": 64, "features": ["rate"]},
     "wy": {
         "classes": ["A", "B"],
         "permutations": 99,
@@ -357,7 +361,7 @@ def test_every_field_document_echo():
                 "majority": {"seed": [1]},
             },
         },
-        "density": {"policy": "silverman", "grid_size": 64, "features": ["rate"]},
+        "density": {"policy": "cv", "grid_size": 64, "features": ["rate"]},
         "wy": {
             "classes": ["A", "B"],
             "permutations": 99,

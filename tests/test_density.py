@@ -29,7 +29,6 @@ from idstats.density import (
     overlap_intervals,
     scott_bandwidth,
     shape_summary,
-    silverman_bandwidth,
     to_mass_pair,
 )
 from idstats.errors import DataError, DataQualityWarning
@@ -47,13 +46,6 @@ def test_scott_bandwidth_known_value():
     assert scott_bandwidth(x) == pytest.approx(0.437724, abs=1e-6)
 
 
-def test_silverman_uses_smaller_of_std_and_scaled_iqr():
-    x = np.random.default_rng(6).normal(0.0, 1.0, 64)
-    q1, _, q3 = quartiles(x)
-    spread = min(np.std(x, ddof=1), (q3 - q1) / 1.34)
-    assert silverman_bandwidth(x) == pytest.approx(0.9 * spread * 64 ** -0.2)
-
-
 def test_degenerate_samples_fall_back_with_warning():
     with pytest.warns(DataQualityWarning, match="single sample"):
         h = scott_bandwidth(np.array([3.0]))
@@ -61,20 +53,8 @@ def test_degenerate_samples_fall_back_with_warning():
     with pytest.warns(DataQualityWarning, match="zero sample spread"):
         h = scott_bandwidth(np.zeros(10))
     assert h == pytest.approx(1e-3)  # max(|x|) below 1 clamps to 1
-    with pytest.warns(DataQualityWarning):
-        silverman_bandwidth(np.full(8, 7.0))
     with pytest.raises(DataError):
         scott_bandwidth(np.array([]))
-
-
-def test_silverman_degenerate_iqr_but_positive_std():
-    # IQR is zero while the std is not: the std alone is the spread, unwarned
-    x = np.array([0.0] * 20 + [100.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DataQualityWarning)
-        h = silverman_bandwidth(x)
-    assert h == pytest.approx(0.9 * np.std(x, ddof=1) * 21 ** -0.2)
-    assert h == pytest.approx(10.683, abs=1e-3)
 
 
 def test_default_cv_candidates_span_scott():
@@ -117,7 +97,7 @@ def test_cv_bandwidth_validates_inputs():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_bandwidth_rules_reject_a_non_finite_sample(bad):
     x = np.append(np.random.default_rng(36).normal(0.0, 1.0, 200), bad)
-    for rule in (scott_bandwidth, silverman_bandwidth, cv_bandwidth):
+    for rule in (scott_bandwidth, cv_bandwidth):
         with pytest.raises(DataError, match=f"{rule.__name__}: the sample holds NaN"):
             rule(x)
     # the error names the sample, not the bandwidth fitted from it
@@ -447,11 +427,12 @@ def test_kde_model_and_bandwidth_for_validate():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DataError, match="bandwidth must be finite"):
             KdeModel(np.array([1.0, 2.0, 3.0]), bad)
-    for policy in ("scott", "silverman", "cv"):
+    for policy in ("scott", "cv"):
         with pytest.raises(DataError, match="on an empty sample"):
             bandwidth_for(np.array([]), policy)
-    with pytest.raises(DataError, match="policy"):
-        bandwidth_for(np.array([1.0, 2.0]), "epanechnikov")
+    for policy in ("epanechnikov", "silverman"):
+        with pytest.raises(DataError, match="policy"):
+            bandwidth_for(np.array([1.0, 2.0]), policy)
 
 
 def test_make_grid_pads_by_five_bandwidths():

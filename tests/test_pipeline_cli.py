@@ -292,7 +292,7 @@ def _wy_config_with_small_classes(tmp_path: Path, classes: str, policy: str):
     return cfg
 
 
-@pytest.mark.parametrize("policy", ["scott", "silverman", "cv"])
+@pytest.mark.parametrize("policy", ["scott", "cv"])
 def test_wy_rejects_a_one_row_class_under_every_policy(tmp_path, policy):
     cfg = _wy_config_with_small_classes(tmp_path, "[rare, attack]", policy)
     with pytest.raises(DataError, match="class 'rare' has 1 row"):
@@ -335,7 +335,7 @@ def test_wy_cli_overrides(run_dir):
     ) == 0
     rc = cli.main(
         ["wy", "--config", str(run_dir / "run.yaml"), "--out", out,
-         "--permutations", "12", "--bandwidth", "silverman", "--alpha", "0.1",
+         "--permutations", "12", "--bandwidth", "cv", "--alpha", "0.1",
          "--classes", "normal,attack"]
     )
     assert rc == 0
@@ -343,10 +343,18 @@ def test_wy_cli_overrides(run_dir):
         (run_dir / "out-wy" / "fragments" / "wy.json").read_text()
     )
     assert fragment["permutations"] == 12
-    assert fragment["bandwidth_policy"] == "silverman"
+    assert fragment["bandwidth_policy"] == "cv"
     assert fragment["alpha"] == 0.1
     assert fragment["classes"] == ["normal", "attack"]
     assert len(fragment["max_trace"]) == 12
+    # class names are stripped, as load_csv strips the label cells
+    rc = cli.main(
+        ["wy", "--config", str(run_dir / "run.yaml"), "--out", out,
+         "--permutations", "12", "--bandwidth", "cv", "--alpha", "0.1",
+         "--classes", " normal, attack "]
+    )
+    assert rc == 0
+    assert json.loads((run_dir / "out-wy" / "fragments" / "wy.json").read_text()) == fragment
 
 
 def _report_config_wy(run_dir: Path, tmp_path: Path, wy_section: dict | None) -> dict:
@@ -382,7 +390,7 @@ def test_report_echoes_every_wy_key(run_dir, tmp_path):
         "classes": ["flood", "normal"],
         "permutations": 7,
         "alpha": 0.2,
-        "bandwidth": "silverman",
+        "bandwidth": "scott",
         "grid_size": 33,
         "cv_candidates": 4,
         "cv_folds": 2,
@@ -392,7 +400,7 @@ def test_report_echoes_every_wy_key(run_dir, tmp_path):
         "classes": ["flood", "normal"],
         "permutations": 7,
         "alpha": 0.2,
-        "bandwidth": "silverman",
+        "bandwidth": "scott",
         "grid_size": 33,
         "cv_candidates": 4,
         "cv_folds": 2,
@@ -473,6 +481,23 @@ def test_usage_and_config_errors_exit_1(tmp_path, capsys):
     assert cli.main(["wy", "--config", str(cfg), "--classes", "a,b,c"]) == 1
     assert cli.main(["wy", "--config", str(cfg), "--classes", "a,"]) == 1
     assert cli.main(["wy", "--config", str(cfg), "--bandwidth", "kernelx"]) == 1
+    assert cli.main(["wy", "--config", str(cfg), "--bandwidth", "silverman"]) == 1
+    assert "invalid choice: 'silverman'" in capsys.readouterr().err
+    for old, new, message in (
+        ("  policy: scott\n", "  policy: silverman\n", "policy 'silverman'"),
+        ("  bandwidth: scott\n", "  bandwidth: silverman\n", "policy 'silverman'"),
+        (
+            "      max_depth: [5]\n",
+            "      max_depth: [5]\n    gbdt:\n      lambda_reg: [0]\n",
+            "lambda_reg: 0 is not a finite number > 0",
+        ),
+    ):
+        assert CONFIG_YAML.count(old) == 1
+        cfg.write_text(CONFIG_YAML.replace(old, new), encoding="utf-8")
+        assert cli.main(["preprocess", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
 
     bad = tmp_path / "bad.yaml"
     bad.write_text(CONFIG_YAML + "unknown_section: 1\n", encoding="utf-8")

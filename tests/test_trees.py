@@ -689,19 +689,36 @@ def _reference_forest(X, y, n_trees, max_depth, min_leaf, max_features, bootstra
     return Model("forest", grown, n_classes, p)
 
 
-def _reference_gbdt(monkeypatch, X, y, **params):
-    """fit_gbdt with every tree grown by the reference on (n, p) raw codes."""
-    edges = [trees._quantile_bin_edges(X[:, f], params["n_bins"]) for f in range(X.shape[1])]
+def _reference_gbdt(
+    X, y, rounds, n_bins, learning_rate=0.1, max_depth=6, lambda_reg=1.0,
+    min_child_weight=1e-3, seed=0,
+):
+    """The boosting loop with every tree grown by the reference on (n, p) raw
+    codes, and the scores updated by the reference's per-sample leaf values."""
+    n, p = X.shape
+    n_classes = int(y.max()) + 1
+    edges = [trees._quantile_bin_edges(X[:, f], n_bins) for f in range(p)]
     codes = np.empty(X.shape, dtype=np.int32)
     for f, e in enumerate(edges):
         codes[:, f] = np.searchsorted(e, X[:, f], side="left")
-
-    def grow(_codes, _edges, g, h, *rest):
-        return _reference_fit_hist_tree(codes, edges, g, h, *rest)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(trees, "_fit_hist_tree", grow)
-        return fit_gbdt(X, y, **params)
+    priors = np.bincount(y, minlength=n_classes).astype(np.float64) / n
+    init_scores = np.log(np.maximum(priors, 1e-12))
+    scores = np.tile(init_scores, (n, 1))
+    onehot = np.eye(n_classes)[y]
+    grown = []
+    for _ in range(rounds):
+        proba = trees._softmax(scores)
+        grad, hess = proba - onehot, proba * (1.0 - proba)
+        for k in range(n_classes):
+            tree, values = _reference_fit_hist_tree(
+                codes, edges, grad[:, k], hess[:, k],
+                learning_rate, max_depth, lambda_reg, min_child_weight,
+            )
+            # fit_gbdt routes the rows by the prediction descent instead
+            assert tree.value[trees._leaves(tree, X), 0].tobytes() == values.tobytes()
+            scores[:, k] += values
+            grown.append(tree)
+    return Model("gbdt", grown, n_classes, p, init_scores)
 
 
 def _oracle_data(n=240, p=7, n_classes=3, seed=0):
@@ -781,7 +798,7 @@ def test_fit_tree_equals_the_reference():
         dict(n_bins=32, max_depth=3, lambda_reg=0.5),
     ],
 )
-def test_gbdt_equals_the_per_feature_histogram_reference(monkeypatch, params):
+def test_gbdt_equals_the_per_feature_histogram_reference(params):
     X, y = _oracle_data(n=300, seed=10, n_classes=4)
     # a rare flag: at 16 bins one edge, so two bins and one candidate cut
     X[:, 2] = 0.0
@@ -790,16 +807,15 @@ def test_gbdt_equals_the_per_feature_histogram_reference(monkeypatch, params):
     X[:, 5] = -X[:, 0]  # mirrored: equal gains up to rounding
     params = dict(rounds=4, learning_rate=0.3, seed=0) | params
     model = fit_gbdt(X, y, **params)
-    reference = _reference_gbdt(monkeypatch, X, y, **params)
-    _assert_same_model(model, reference, X)
+    _assert_same_model(model, _reference_gbdt(X, y, **params), X)
 
 
-def test_models_without_features_equal_the_reference(monkeypatch):
+def test_models_without_features_equal_the_reference():
     X, y = np.empty((6, 0)), np.array([0, 1, 0, 1, 1, 2])
     forest = fit_forest(X, y, n_trees=2, seed=1)
     _assert_same_model(forest, _reference_forest(X, y, 2, None, 1, "sqrt", True, 1), X)
     params = dict(rounds=2, n_bins=16)
-    _assert_same_model(fit_gbdt(X, y, **params), _reference_gbdt(monkeypatch, X, y, **params), X)
+    _assert_same_model(fit_gbdt(X, y, **params), _reference_gbdt(X, y, **params), X)
 
 
 def _reference_importance(grown, n_features):
@@ -848,13 +864,15 @@ def test_rfe_rejects_a_keep_threshold_outside_zero_one(threshold):
         ("learning_rate", 0.0),
         ("learning_rate", math.inf),
         ("lambda_reg", -1.0),
+        ("lambda_reg", 0.0),
         ("lambda_reg", math.nan),
         ("min_child_weight", -1e-3),
         ("min_child_weight", math.inf),
     ],
 )
 def test_fit_gbdt_rejects_numbers_outside_their_range(param, value):
-    # a negative learning rate or lambda_reg drives the training loss up, not down
+    # a negative learning rate or lambda_reg drives the training loss up, not
+    # down; lambda_reg 0 leaves H + lambda at 0 in a node whose hessians vanish
     X, y = two_blobs(n_per=20, seed=1)
     with pytest.raises(DataError, match=f"^{param}: .* is not a finite number"):
         fit_gbdt(X, y, rounds=2, **{param: value})
@@ -873,7 +891,7 @@ GRID_KEYS = {
 }
 ONE_VALID_VALUE = {
     "n_trees": 1, "rounds": 1, "min_leaf": 1, "n_bins": 2, "seed": 0, "max_depth": None,
-    "max_features": "sqrt", "learning_rate": 0.1, "lambda_reg": 0, "min_child_weight": 0,
+    "max_features": "sqrt", "learning_rate": 0.1, "lambda_reg": 1, "min_child_weight": 0,
     "bootstrap": True, "feature_subset": 1, "workers": 1, "n_classes": 2,
 }
 
@@ -887,6 +905,39 @@ def test_each_family_takes_exactly_its_grid_keys(family):
         else:
             with pytest.raises(DataError, match=re.escape(f"in {family}: {key!r}")):
                 check_grid(family, {key: [value]}, family)
+
+
+# Each family at the edges of what GRID_VALUES accepts, one setting at a time;
+# forests and GBDTs stay small otherwise.
+GRID_EDGES = [
+    ("tree", {"max_depth": 0}),
+    ("tree", {"max_depth": None, "min_leaf": 1}),
+    ("forest", {"n_trees": 1}),
+    ("forest", {"max_depth": 0}),
+    ("forest", {"max_depth": None, "min_leaf": 1}),
+    ("forest", {"max_features": 1}),
+    ("forest", {"max_features": None}),
+    ("forest", {"bootstrap": False}),
+    ("gbdt", {"rounds": 1}),
+    ("gbdt", {"n_bins": 2}),
+    ("gbdt", {"max_depth": 0}),
+    ("gbdt", {"max_depth": None}),
+    ("gbdt", {"min_child_weight": 0, "lambda_reg": 1e-6}),
+    ("majority", {"seed": 0}),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family, params", GRID_EDGES)
+def test_each_family_fits_and_predicts_at_the_edges_of_its_grid(family, params):
+    check_grid(family, {key: [value] for key, value in params.items()}, family)
+    X, y = _oracle_data(n=600, seed=13)
+    small = {"forest": {"n_trees": 3}, "gbdt": {"rounds": 3}}.get(family, {})
+    model = fit_model(ModelSpec(family, small | params), X, y)
+    proba = predict_proba(model, X)
+    assert proba.shape == (600, 3)
+    assert np.all(np.isfinite(proba))
+    np.testing.assert_allclose(proba.sum(axis=1), 1.0)
 
 
 @pytest.mark.parametrize(
