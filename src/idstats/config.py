@@ -55,7 +55,10 @@ def _scalar(value: Any, hint: Any, where: str):
         return None
     kind = next((k for k in kinds if k is not type(None)), hint)
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where} is too large for a float") from None
     if isinstance(value, bool) and kind in (int, float):
         raise ConfigError(f"{where} must be a number, got a boolean")
     if not isinstance(value, kind):

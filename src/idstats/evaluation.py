@@ -82,59 +82,26 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, n_classes: int) -> 
     return flat.reshape(n_classes, n_classes)
 
 
-@dataclass(frozen=True)
-class PrfResult:
-    """Macro precision/recall/F1 with per-class values and a 0/0 counter."""
-
-    precision: float
-    recall: float
-    f1: float
-    per_class_precision: np.ndarray
-    per_class_recall: np.ndarray
-    per_class_f1: np.ndarray
-    zero_division_count: int
-
-
-def prf_macro(cm: np.ndarray) -> PrfResult:
-    """Per-class precision/recall/F1 from a confusion matrix, macro-averaged.
+def prf_macro(cm: np.ndarray) -> tuple[float, float, float, int]:
+    """Macro precision, recall and F1 of a confusion matrix, and the number
+    of 0/0s among the per-class values.
 
     Every 0/0 (a class never predicted, never present, or with zero
-    precision + recall) resolves to 0 and increments the zero-division count.
+    precision + recall) resolves to 0 and counts as one zero division.
     """
     cm = np.asarray(cm, dtype=np.float64)
     if cm.ndim != 2 or cm.shape[0] != cm.shape[1] or cm.shape[0] == 0:
         raise DataError("confusion matrix must be square and non-empty")
-    tp = np.diag(cm)
-    predicted = cm.sum(axis=0)
-    support = cm.sum(axis=1)
 
-    zero_divisions = 0
-    k = cm.shape[0]
-    precision = np.zeros(k)
-    recall = np.zeros(k)
-    f1 = np.zeros(k)
-    for c in range(k):
-        if predicted[c] > 0:
-            precision[c] = tp[c] / predicted[c]
-        else:
-            zero_divisions += 1
-        if support[c] > 0:
-            recall[c] = tp[c] / support[c]
-        else:
-            zero_divisions += 1
-        if precision[c] + recall[c] > 0:
-            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
-        else:
-            zero_divisions += 1
-    return PrfResult(
-        precision=float(precision.mean()),
-        recall=float(recall.mean()),
-        f1=float(f1.mean()),
-        per_class_precision=precision,
-        per_class_recall=recall,
-        per_class_f1=f1,
-        zero_division_count=zero_divisions,
-    )
+    def ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+        return np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+
+    tp, predicted, support = np.diag(cm), cm.sum(axis=0), cm.sum(axis=1)
+    precision, recall = ratio(tp, predicted), ratio(tp, support)
+    both = precision + recall
+    f1 = ratio(2 * precision * recall, both)
+    zero_divisions = sum(int(np.count_nonzero(d == 0)) for d in (predicted, support, both))
+    return float(precision.mean()), float(recall.mean()), float(f1.mean()), zero_divisions
 
 
 def _midranks(scores: np.ndarray) -> np.ndarray:
@@ -223,14 +190,11 @@ class CvReport:
 
 def _fold_metrics(y: np.ndarray, proba: np.ndarray) -> tuple[FoldMetrics, int]:
     pred = np.argmax(proba, axis=1)
-    prf = prf_macro(confusion_matrix(y, pred, proba.shape[1]))
+    *prf, zero_divisions = prf_macro(confusion_matrix(y, pred, proba.shape[1]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataQualityWarning)
         auc = roc_auc_ovr_macro(y, proba)
-    metrics = FoldMetrics(
-        precision=prf.precision, recall=prf.recall, f1=prf.f1, roc_auc=auc
-    )
-    return metrics, prf.zero_division_count
+    return FoldMetrics(*prf, roc_auc=auc), zero_divisions
 
 
 # One fold of one cell: train metrics, test metrics, zero-division count.

@@ -163,7 +163,9 @@ def _best_split(
     s rows on the left, min_leaf <= s <= n − min_leaf, at boundaries between
     distinct values. The counts at a boundary are exact integers, so the
     order the sort gives equal values changes no gain. The first (feature,
-    lowest threshold) wins ties, so the result is deterministic.
+    lowest threshold) wins ties, so the result is deterministic. A midpoint
+    that is not below the upper value (it rounded up to it, or the sum
+    overflowed) is replaced by the lower value, so both children get rows.
     """
     # An absent class adds exact zeros to the Gini sums, so below 8 classes,
     # where np.sum adds left to right, it can be left out.
@@ -197,8 +199,11 @@ def _best_split(
         )
         for j, pick in enumerate(gain.argmax(axis=1).tolist()):
             if valid[j, pick] and (best is None or gain[j, pick] > best[0] + _GAIN_EPS):
-                threshold = 0.5 * (vs[j, pick] + vs[j, pick + 1])
-                best = (float(gain[j, pick]), int(block[j]), float(threshold))
+                lo, hi = vs[j, pick:pick + 2].tolist()
+                threshold = 0.5 * (lo + hi)
+                if not lo <= threshold < hi:  # rounded up to hi, or overflowed
+                    threshold = lo
+                best = (float(gain[j, pick]), int(block[j]), threshold)
     return best
 
 
@@ -221,9 +226,7 @@ def _grow_tree(
     appends both children to the arrays.
     """
     p = X.shape[1]
-    if min_leaf < 1:
-        raise DataError("min_leaf must be >= 1")
-    m = p if feature_subset is None else min(max(int(feature_subset), 1), p)
+    m = p if feature_subset is None else min(feature_subset, p)
     nodes = _Nodes()
 
     def node_for(rows: np.ndarray) -> tuple:
@@ -296,8 +299,7 @@ def fit_forest(
     each node sorts its rows on the features it searches.
     """
     X, y, n_classes = _check_xy(X, y, n_classes)
-    if n_trees < 1:
-        raise DataError("n_trees must be >= 1")
+    _check_params(locals())
     n, p = X.shape
     if max_features == "sqrt":
         max_features = int(math.ceil(math.sqrt(p)))
@@ -339,7 +341,7 @@ def fit_majority(
 ) -> Model:
     """Constant predictor: the `fit_tree` tree cut at depth 0, one leaf whose
     distribution is the class priors. ``seed`` changes nothing."""
-    return replace(fit_tree(X, y, 0, n_classes=n_classes), family="majority")
+    return replace(fit_tree(X, y, 0, seed=seed, n_classes=n_classes), family="majority")
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -472,13 +474,7 @@ def fit_gbdt(
         min_child_weight: minimum child hessian sum for a valid split, >= 0.
     """
     X, y, n_classes = _check_xy(X, y, n_classes)
-    if rounds < 1:
-        raise DataError("rounds must be >= 1")
-    if n_bins < 2:
-        raise DataError("n_bins must be >= 2")
-    _check_value("learning_rate", learning_rate)
-    _check_value("lambda_reg", lambda_reg)
-    _check_value("min_child_weight", min_child_weight)
+    _check_params(locals())
     n, p = X.shape
 
     edges = [_quantile_bin_edges(X[:, f], n_bins) for f in range(p)]
@@ -582,7 +578,7 @@ def fitter_defaults(family: str) -> dict:
 
 
 def _is_int(value: Any, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
 
 def _is_finite(value: Any) -> bool:
@@ -615,6 +611,13 @@ def _check_value(param: str, value: Any, prefix: str = "") -> None:
     valid, want = GRID_VALUES[param]
     if not valid(value):
         raise DataError(f"{prefix}{param}: {value!r} is not {want}")
+
+
+def _check_params(args: dict) -> None:
+    """Check a fitter's arguments that `GRID_VALUES` names, as `check_grid` does."""
+    for param, value in args.items():
+        if param in GRID_VALUES:
+            _check_value(param, value)
 
 
 def check_grid(family: str, grid: Any, where: str) -> None:

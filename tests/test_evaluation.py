@@ -82,31 +82,71 @@ def test_confusion_matrix_counts_and_validates():
         confusion_matrix(np.array([0, 3]), np.array([0, 0]), 3)
 
 
+def _reference_prf_macro(cm):
+    """The per-class branch loop that `prf_macro` replaced, kept as its oracle."""
+    cm = np.asarray(cm, dtype=np.float64)
+    tp, predicted, support = np.diag(cm), cm.sum(axis=0), cm.sum(axis=1)
+    zero_divisions = 0
+    k = cm.shape[0]
+    precision, recall, f1 = np.zeros(k), np.zeros(k), np.zeros(k)
+    for c in range(k):
+        if predicted[c] > 0:
+            precision[c] = tp[c] / predicted[c]
+        else:
+            zero_divisions += 1
+        if support[c] > 0:
+            recall[c] = tp[c] / support[c]
+        else:
+            zero_divisions += 1
+        if precision[c] + recall[c] > 0:
+            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
+        else:
+            zero_divisions += 1
+    return float(precision.mean()), float(recall.mean()), float(f1.mean()), zero_divisions
+
+
 def test_prf_macro_hand_computed_matrix():
-    cm = np.array([[1, 1], [0, 1]])
-    result = prf_macro(cm)
-    assert result.precision == pytest.approx(0.75)
-    assert result.recall == pytest.approx(0.75)
-    assert result.f1 == pytest.approx(2 / 3)
-    assert result.per_class_precision.tolist() == [1.0, 0.5]
-    assert result.per_class_recall.tolist() == [0.5, 1.0]
-    assert result.zero_division_count == 0
+    # per class: precision 1 and 1/2, recall 1/2 and 1, F1 2/3 and 2/3
+    precision, recall, f1, zero_divisions = prf_macro(np.array([[1, 1], [0, 1]]))
+    assert precision == recall == 0.75
+    assert f1 == pytest.approx(2 / 3)
+    assert zero_divisions == 0
 
 
-def test_prf_macro_counts_zero_divisions():
-    # class 2 never present and never predicted: P, R, F1 all 0/0
-    cm = np.array([[2, 0, 0], [0, 2, 0], [0, 0, 0]])
-    result = prf_macro(cm)
-    assert result.zero_division_count == 3
-    assert result.per_class_f1.tolist() == [1.0, 1.0, 0.0]
-    assert result.f1 == pytest.approx(2 / 3)
+@pytest.mark.parametrize(
+    "cm, expected",
+    [
+        # class 2 never present and never predicted: P, R, F1 all 0/0
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 0]], (2 / 3, 2 / 3, 2 / 3, 3)),
+        # class 1 present but never predicted: P is 0/0, then F1 is 0/0
+        ([[2, 0], [2, 0]], (0.25, 0.5, 1 / 3, 2)),
+        # class 1 predicted but never present: R is 0/0, then F1 is 0/0
+        ([[2, 2], [0, 0]], (0.5, 0.25, 1 / 3, 2)),
+        # class 0 present and predicted but never right: only F1 is 0/0
+        ([[0, 2], [2, 2]], (0.25, 0.25, 0.25, 1)),
+    ],
+)
+def test_prf_macro_counts_zero_divisions(cm, expected):
+    *macro, zero_divisions = prf_macro(np.array(cm))
+    assert macro == pytest.approx(expected[:3])
+    assert zero_divisions == expected[3]
+
+
+def test_prf_macro_equals_the_per_class_loop_bit_for_bit():
+    rng = np.random.default_rng(38)
+    for _ in range(400):
+        k = int(rng.integers(1, 7))
+        cm = rng.integers(0, 5, size=(k, k)) * (rng.random((k, k)) < 0.6)
+        # empty some rows (absent classes) and columns (never predicted)
+        cm[rng.random(k) < 0.3] = 0
+        cm[:, rng.random(k) < 0.3] = 0
+        assert prf_macro(cm) == _reference_prf_macro(cm)
 
 
 def test_perfect_prediction_gives_unit_scores():
     y = np.array([0, 1, 2, 0, 1, 2])
     cm = confusion_matrix(y, y, 3)
-    result = prf_macro(cm)
-    assert result.precision == result.recall == result.f1 == 1.0
+    assert prf_macro(cm) == (1.0, 1.0, 1.0, 0)
 
 
 def test_roc_auc_known_value_and_bounds():

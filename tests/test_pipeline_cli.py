@@ -491,6 +491,9 @@ def test_usage_and_config_errors_exit_1(tmp_path, capsys):
             "      max_depth: [5]\n    gbdt:\n      lambda_reg: [0]\n",
             "lambda_reg: 0 is not a finite number > 0",
         ),
+        # float() of a 400-digit int raises OverflowError
+        ("  permutations: 24\n", "  permutations: 24\n  alpha: " + "9" * 400 + "\n",
+         "config.wy.alpha is too large for a float"),
     ):
         assert CONFIG_YAML.count(old) == 1
         cfg.write_text(CONFIG_YAML.replace(old, new), encoding="utf-8")

@@ -73,6 +73,25 @@ def test_split_threshold_is_midpoint_and_right_edge_goes_left():
     assert proba[1].tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (1 + 2.0**-52, 1 + 2.0**-51),  # adjacent doubles: the midpoint rounds up to hi
+        (1e308, 1.7e308),  # the sum overflows: the midpoint is inf
+        (-1.7e308, -1e308),  # and -inf
+    ],
+)
+def test_a_midpoint_outside_lo_hi_falls_back_to_lo(lo, hi):
+    # with the midpoint as the threshold both rows went left, and the tree
+    # grew empty right children down to max_depth
+    X = np.array([[lo], [hi]])
+    y = np.array([0, 1])
+    model = fit_tree(X, y, max_depth=3)
+    assert model.trees[0].threshold.tolist() == [lo, 0.0, 0.0]
+    assert model.trees[0].n_samples.tolist() == [2, 1, 1]
+    assert predict_proba(model, X).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_max_depth_and_min_leaf_are_respected():
     X, y = two_blobs(seed=1)
 
@@ -566,7 +585,10 @@ def _reference_best_split(X, onehot, idx, features, min_leaf, parent_impurity):
         gain = parent_impurity - (sizes / n) * gini_left - ((n - sizes) / n) * gini_right
         pick = int(np.argmax(gain))
         if best is None or gain[pick] > best[0] + trees._GAIN_EPS:
-            threshold = 0.5 * (vs[s[pick] - 1] + vs[s[pick]])
+            lo, hi = float(vs[s[pick] - 1]), float(vs[s[pick]])
+            threshold = 0.5 * (lo + hi)
+            if not lo <= threshold < hi:
+                threshold = lo
             best = (float(gain[pick]), int(f), float(threshold))
     return best
 
@@ -858,24 +880,52 @@ def test_rfe_rejects_a_keep_threshold_outside_zero_one(threshold):
 
 
 @pytest.mark.parametrize(
-    "param, value",
+    "family, param, value",
     [
-        ("learning_rate", -0.5),
-        ("learning_rate", 0.0),
-        ("learning_rate", math.inf),
-        ("lambda_reg", -1.0),
-        ("lambda_reg", 0.0),
-        ("lambda_reg", math.nan),
-        ("min_child_weight", -1e-3),
-        ("min_child_weight", math.inf),
+        ("gbdt", "learning_rate", -0.5),
+        ("gbdt", "learning_rate", 0.0),
+        ("gbdt", "learning_rate", math.inf),
+        ("gbdt", "lambda_reg", -1.0),
+        ("gbdt", "lambda_reg", 0.0),
+        ("gbdt", "lambda_reg", math.nan),
+        ("gbdt", "min_child_weight", -1e-3),
+        ("gbdt", "min_child_weight", math.inf),
+        ("gbdt", "rounds", 0),
+        ("gbdt", "rounds", 2.5),
+        ("gbdt", "n_bins", 1),
+        ("gbdt", "n_bins", 2.5),
+        ("gbdt", "max_depth", -1),
+        ("gbdt", "seed", -1),
+        ("forest", "n_trees", 0),
+        ("forest", "n_trees", 2.5),
+        ("forest", "min_leaf", 0),
+        ("forest", "max_features", 0),
+        ("forest", "max_features", "log2"),
+        ("forest", "max_depth", -1),
+        ("forest", "bootstrap", "no"),
+        ("forest", "seed", True),
+        ("tree", "min_leaf", 0),
+        ("tree", "max_depth", -1),
+        ("majority", "seed", -1),
     ],
 )
-def test_fit_gbdt_rejects_numbers_outside_their_range(param, value):
+def test_fitters_reject_what_check_grid_rejects_with_its_text(family, param, value):
     # a negative learning rate or lambda_reg drives the training loss up, not
     # down; lambda_reg 0 leaves H + lambda at 0 in a node whose hessians vanish
+    with pytest.raises(DataError) as grid_error:
+        check_grid(family, {param: [value]}, family)
+    message = str(grid_error.value).removeprefix(f"{family}.")
     X, y = two_blobs(n_per=20, seed=1)
-    with pytest.raises(DataError, match=f"^{param}: .* is not a finite number"):
-        fit_gbdt(X, y, rounds=2, **{param: value})
+    small = {"forest": {"n_trees": 2}, "gbdt": {"rounds": 2}}.get(family, {})
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        fit_model(ModelSpec(family, small | {param: value}), X, y)
+
+
+@pytest.mark.parametrize("family, size_key", [("forest", "n_trees"), ("gbdt", "rounds")])
+def test_fitters_take_a_numpy_integer_size(family, size_key):
+    X, y = two_blobs(n_per=20, seed=1)
+    fits = [fit_model(ModelSpec(family, {size_key: n}), X, y) for n in (3, np.int64(3))]
+    assert json.dumps(model_to_dict(fits[0])) == json.dumps(model_to_dict(fits[1]))
 
 
 # The grid keys each family took when they were listed by hand; deriving them
